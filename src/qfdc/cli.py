@@ -31,7 +31,6 @@ from .detector import DetectorSpec
 from .experiment import (
     DEFAULT_GATES_PER_POINT,
     DEFAULT_N_PHI,
-    DEFAULT_N_SLOTS,
     ChainParams,
     ScanResult,
     run_fig4a,
@@ -68,21 +67,33 @@ def _check_keys(section: dict, allowed, path: str) -> None:
             raise ConfigError(f"unknown key {path}{key!r}")
 
 
+def _is_finite_number(value) -> bool:
+    # Python's json accepts NaN and +-Infinity
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _number(section: dict, key: str, default, path: str, minimum=None):
     value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key {path}{key!r} must be a number")
+    if not _is_finite_number(value):
+        raise ConfigError(f"key {path}{key!r} must be a finite number")
     if minimum is not None and value < minimum:
         raise ConfigError(f"key {path}{key!r} must be >= {minimum}")
     return value
 
 
+def _integer(section: dict, key: str, default, path: str, minimum=None) -> int:
+    value = _number(section, key, default, path, minimum)
+    if not float(value).is_integer():
+        raise ConfigError(f"key {path}{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _grid(section: dict, key: str, default, path: str) -> list[float]:
     values = section.get(key, default)
     if not isinstance(values, list) or not values or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        _is_finite_number(v) for v in values
     ):
-        raise ConfigError(f"key {path}{key!r} must be a non-empty list of numbers")
+        raise ConfigError(f"key {path}{key!r} must be a non-empty list of finite numbers")
     return [float(v) for v in values]
 
 
@@ -107,8 +118,6 @@ class ScenarioConfig:
     """Validated run description: chain source, grids, seed, output."""
 
     seed: int = DEFAULT_SEED
-    n_slots: int = DEFAULT_N_SLOTS
-    workers: int = 1
     output_dir: str | None = None
     scenario: str | None = None
     targets: CalibrationTargets = field(default_factory=CalibrationTargets)
@@ -119,7 +128,7 @@ class ScenarioConfig:
 
 
 _TOP_KEYS = {
-    "seed", "n_slots", "workers", "output_dir", "scenario",
+    "seed", "output_dir", "scenario",
     "targets", "apparatus", "chain", "chain_from_report", "scenarios",
 }
 _TARGET_KEYS = {f.name for f in fields(CalibrationTargets)}
@@ -153,9 +162,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     _check_keys(raw, _TOP_KEYS, "")
 
     cfg = ScenarioConfig()
-    cfg.seed = int(_number(raw, "seed", DEFAULT_SEED, "", minimum=0))
-    cfg.n_slots = int(_number(raw, "n_slots", DEFAULT_N_SLOTS, "", minimum=2))
-    cfg.workers = int(_number(raw, "workers", 1, "", minimum=1))
+    cfg.seed = _integer(raw, "seed", DEFAULT_SEED, "", minimum=0)
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -186,7 +193,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     _check_keys(detector_raw, _DETECTOR_KEYS, "apparatus.detector.")
     try:
         detector = replace(DetectorSpec(), **detector_raw)
-        context_kwargs = {k: v for k, v in apparatus_raw.items() if k != "detector"}
+        context_kwargs = {k: _number(apparatus_raw, k, None, "apparatus.")
+                          for k in apparatus_raw if k != "detector"}
         cfg.context = replace(CalibrationContext(), detector=detector, **context_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid apparatus: {exc}") from exc
@@ -219,22 +227,22 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if name == "fig4a":
             s.power_mw = _grid(section, "power_mw", s.power_mw, prefix)
             s.fig4a_mu = float(_number(section, "mu", s.fig4a_mu, prefix, minimum=0))
-            s.fig4a_gates = int(_number(section, "gates_per_point", s.fig4a_gates, prefix, minimum=1))
+            s.fig4a_gates = _integer(section, "gates_per_point", s.fig4a_gates, prefix, minimum=1)
         elif name == "fig4b":
             s.fig4b_mu = _grid(section, "mu", s.fig4b_mu, prefix)
-            s.fig4b_gates = int(_number(section, "gates_per_point", s.fig4b_gates, prefix, minimum=1))
+            s.fig4b_gates = _integer(section, "gates_per_point", s.fig4b_gates, prefix, minimum=1)
         elif name == "fig5":
             s.fig5_mu = float(_number(section, "mu", s.fig5_mu, prefix, minimum=0))
-            s.fig5_n_phi = int(_number(section, "n_phi", s.fig5_n_phi, prefix, minimum=4))
-            s.fig5_gates = int(_number(section, "gates_per_point", s.fig5_gates, prefix, minimum=1))
+            s.fig5_n_phi = _integer(section, "n_phi", s.fig5_n_phi, prefix, minimum=4)
+            s.fig5_gates = _integer(section, "gates_per_point", s.fig5_gates, prefix, minimum=1)
             control = section.get("control", s.fig5_control)
             if not isinstance(control, bool):
                 raise ConfigError(f"key {prefix}'control' must be a boolean")
             s.fig5_control = control
         else:
             s.fig6_mu = _grid(section, "mu", s.fig6_mu, prefix)
-            s.fig6_n_phi = int(_number(section, "n_phi", s.fig6_n_phi, prefix, minimum=4))
-            s.fig6_gates = int(_number(section, "gates_per_point", s.fig6_gates, prefix, minimum=1))
+            s.fig6_n_phi = _integer(section, "n_phi", s.fig6_n_phi, prefix, minimum=4)
+            s.fig6_gates = _integer(section, "gates_per_point", s.fig6_gates, prefix, minimum=1)
     return cfg
 
 
@@ -318,23 +326,19 @@ def run_scenario(
     if scenario == "fig4a":
         chain = _chain_from_config(cfg, with_interferometer=False)
         return run_fig4a(chain, [p * 1e-3 for p in s.power_mw], mu=s.fig4a_mu,
-                         gates_per_point=s.fig4a_gates, seed=seed,
-                         n_slots=cfg.n_slots, workers=cfg.workers)
+                         gates_per_point=s.fig4a_gates, seed=seed)
     if scenario == "fig4b":
         chain = _chain_from_config(cfg, with_interferometer=False)
-        return run_fig4b(chain, s.fig4b_mu, gates_per_point=s.fig4b_gates,
-                         seed=seed, n_slots=cfg.n_slots, workers=cfg.workers)
+        return run_fig4b(chain, s.fig4b_mu, gates_per_point=s.fig4b_gates, seed=seed)
     if scenario == "fig5":
         control = s.fig5_control or control_override
         chain = _chain_from_config(cfg, with_interferometer=True)
         phis = np.linspace(0.0, 2.0 * math.pi, s.fig5_n_phi, endpoint=False)
         return run_fig5(chain, s.fig5_mu, phis, gates_per_point=s.fig5_gates,
-                        seed=seed, n_slots=cfg.n_slots, workers=cfg.workers,
-                        control=control)
+                        seed=seed, control=control)
     chain = _chain_from_config(cfg, with_interferometer=True)
     return run_fig6(chain, s.fig6_mu, n_phi=s.fig6_n_phi,
-                    gates_per_point=s.fig6_gates, seed=seed,
-                    n_slots=cfg.n_slots, workers=cfg.workers)
+                    gates_per_point=s.fig6_gates, seed=seed)
 
 
 def cmd_validate(args) -> int:
@@ -385,6 +389,8 @@ def cmd_run(args) -> int:
         cfg = load_config(args.config)
         if args.no_interferometer and args.scenario != "fig5":
             raise ConfigError("--no-interferometer is only meaningful for fig5")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         seed = cfg.seed if args.seed is None else args.seed
         scan = run_scenario(args.scenario, cfg, seed, control_override=args.no_interferometer)
     except ConfigError as exc:

@@ -4,14 +4,14 @@ A gate sees a Poissonian light field with some mean photon number and
 clicks with probability ``1 - (1 - p_dark) * exp(-efficiency * mu)``.
 Monte Carlo sampling is counter-based: gates are split into fixed blocks of
 ``2**20`` and each block draws its click count from an independent Philox
-substream keyed by ``(seed, block_index)``, so results are bit-identical
-for a given seed no matter how many workers execute the blocks.
+substream keyed by ``(seed, block_index)``. The keyed blocks, summed
+serially, define the draws: a click record depends only on the seed, the
+gate count and the click probability.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +112,9 @@ def sample_gates(
 ) -> CountSummary:
     """Sample independent gates and aggregate the clicks.
 
-    Deterministic for a fixed ``(seed, n_gates)`` regardless of ``workers``;
-    the block decomposition, not the execution order, defines the draws.
+    Deterministic for a fixed ``(seed, n_gates)``; the block decomposition
+    defines the draws. ``workers`` is accepted for compatibility and has no
+    effect (it must still be >= 1): the blocks are always summed serially.
     """
     n_gates = int(n_gates)
     if n_gates < 1:
@@ -126,16 +127,10 @@ def sample_gates(
     p = click_probability(mean_photons_at_detector, spec)
 
     n_blocks = (n_gates + BLOCK_GATES - 1) // BLOCK_GATES
-    sizes = [
-        min(BLOCK_GATES, n_gates - i * BLOCK_GATES) for i in range(n_blocks)
-    ]
-    if workers == 1:
-        clicks = sum(_block_clicks(seed, i, sizes[i], p) for i in range(n_blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            clicks = sum(
-                pool.map(lambda i: _block_clicks(seed, i, sizes[i], p), range(n_blocks))
-            )
+    clicks = sum(
+        _block_clicks(seed, i, min(BLOCK_GATES, n_gates - i * BLOCK_GATES), p)
+        for i in range(n_blocks)
+    )
     return CountSummary.from_clicks(n_gates, clicks, spec.gate_rate_hz)
 
 

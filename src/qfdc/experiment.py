@@ -1,11 +1,11 @@
 """End-to-end scenario engine.
 
 Composes source -> converter -> (optional interferometer) -> detector,
-evaluates each scenario point both analytically and by seeded Monte Carlo,
-and provides the sweep drivers for the four standard experiments: the
-pump-power sweep (``run_fig4a``), the count-rate-vs-mu sweep (``run_fig4b``),
-the fringe scan (``run_fig5``), and the visibility-vs-mu sweep
-(``run_fig6``).
+evaluates each scenario point in closed form, samples its click record by
+seeded Monte Carlo at that closed-form mean, and provides the sweep drivers
+for the four standard experiments: the pump-power sweep (``run_fig4a``),
+the count-rate-vs-mu sweep (``run_fig4b``), the fringe scan (``run_fig5``),
+and the visibility-vs-mu sweep (``run_fig6``).
 """
 
 from __future__ import annotations
@@ -169,12 +169,19 @@ def chain_point_mean(
 ) -> float:
     """Mean photons per gate at the detector via the full train pipeline.
 
-    Unlike :func:`expected_rate` this propagates an actual finite train of
-    amplitudes, so it includes the non-interfering edge slot of the
-    interferometer (a < 0.1% effect at the default train length). The
-    intrinsic visibility ceiling enters as a partial-coherence blend of the
+    A reference for :func:`expected_rate`, which the Monte Carlo uses: this
+    propagates an actual finite train of amplitudes, so it includes the
+    non-interfering edge slot of the interferometer (at most 0.2% at the
+    default train length, largest at the fringe minimum). The intrinsic
+    visibility ceiling enters as a partial-coherence blend of the
     interfering and incoherent port outputs.
+
+    ``phi=None`` means the phi-averaged fringe, as in :func:`expected_rate`;
+    a single train cannot represent that average, so it is rejected when the
+    chain has an interferometer.
     """
+    if phi is None and params.interferometer is not None:
+        raise ValueError("phi=None (the phi-averaged fringe) has no single-train equivalent")
     pattern = PhasePattern.alternating(phi) if phi is not None else PhasePattern.uniform(0.0)
     train = coherent_train(params.converter.process.signal, n_slots, mu, pattern)
     converted, _ = convert(train, params.converter)
@@ -192,19 +199,12 @@ def chain_point_mean(
 
 
 def simulate_point(
-    mu: float,
-    phi: float | None,
-    params: ChainParams,
-    n_gates: int,
-    seed: int,
-    n_slots: int = DEFAULT_N_SLOTS,
-    workers: int = 1,
+    mu: float, phi: float | None, params: ChainParams, n_gates: int, seed: int
 ) -> CountSummary:
-    """Monte Carlo click record for one scenario point."""
-    if phi is not None and params.interferometer is None:
-        raise ValueError("phi was given but the chain has no interferometer")
-    mean = chain_point_mean(mu, phi, params, n_slots=n_slots)
-    return sample_gates(mean, params.detector, n_gates, seed, workers=workers)
+    """Monte Carlo click record for one scenario point, sampled at the
+    closed-form mean of :func:`expected_rate` (``phi=None``: the phi average)."""
+    mean = expected_rate(mu, phi, params).mean_photons
+    return sample_gates(mean, params.detector, n_gates, seed)
 
 
 # --- fitting helpers -------------------------------------------------------
@@ -229,9 +229,14 @@ class CosineFit:
         return self._ratio_sigma(self.c0)
 
     def visibility_dark_subtracted(self, dark_prob: float) -> float:
+        """c1/(c0 - dark_prob); NaN when the dark-subtracted offset is not positive."""
+        if self.c0 <= dark_prob:
+            return math.nan
         return self.c1 / (self.c0 - dark_prob)
 
     def visibility_dark_subtracted_sigma(self, dark_prob: float) -> float:
+        if self.c0 <= dark_prob:
+            return math.nan
         return self._ratio_sigma(self.c0 - dark_prob)
 
     def _ratio_sigma(self, denom: float) -> float:
@@ -338,8 +343,6 @@ def run_fig4a(
     mu: float = 125.0,
     gates_per_point: int = DEFAULT_GATES_PER_POINT,
     seed: int = 0,
-    n_slots: int = DEFAULT_N_SLOTS,
-    workers: int = 1,
 ) -> ScanResult:
     """Pump-power sweep: conversion efficiency and pump-induced noise.
 
@@ -366,10 +369,8 @@ def run_fig4a(
     noise_denom = det.efficiency * t_post
     for i, power in enumerate(powers):
         point = params.at_pump_power(power)
-        sig = simulate_point(mu, None, point, gates_per_point,
-                             derive_seed(seed, i, 0), n_slots, workers)
-        bg = simulate_point(0.0, None, point, gates_per_point,
-                            derive_seed(seed, i, 1), n_slots, workers)
+        sig = simulate_point(mu, None, point, gates_per_point, derive_seed(seed, i, 0))
+        bg = simulate_point(0.0, None, point, gates_per_point, derive_seed(seed, i, 1))
         raw.append(sig)
         background.append(bg)
         # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
@@ -411,8 +412,6 @@ def run_fig4b(
     mu_grid,
     gates_per_point: int = 100_000_000,
     seed: int = 0,
-    n_slots: int = DEFAULT_N_SLOTS,
-    workers: int = 1,
 ) -> ScanResult:
     """Count rate per gate versus mean input photon number, with the
     noise floor subtracted and a through-origin line fitted to the
@@ -424,10 +423,8 @@ def run_fig4b(
     background: list[CountSummary] = []
     corrected: list[CorrectedRate] = []
     for i, mu in enumerate(mus):
-        sig = simulate_point(mu, None, params, gates_per_point,
-                             derive_seed(seed, i, 0), n_slots, workers)
-        bg = simulate_point(0.0, None, params, gates_per_point,
-                            derive_seed(seed, i, 1), n_slots, workers)
+        sig = simulate_point(mu, None, params, gates_per_point, derive_seed(seed, i, 0))
+        bg = simulate_point(0.0, None, params, gates_per_point, derive_seed(seed, i, 1))
         raw.append(sig)
         background.append(bg)
         corrected.append(dark_subtract(sig, bg))
@@ -467,7 +464,7 @@ def run_fig5(
     phi_grid=None,
     gates_per_point: int = DEFAULT_GATES_PER_POINT,
     seed: int = 0,
-    n_slots: int = DEFAULT_N_SLOTS,
+    *,
     workers: int = 1,
     control: bool = False,
 ) -> ScanResult:
@@ -475,9 +472,13 @@ def run_fig5(
 
     Fits c0 + c1*cos(phi) and reports the visibility c1/c0 with its
     propagated uncertainty, plus the dark-subtracted visibility
-    c1/(c0 - p_dark). With ``control=True`` the interferometer is removed
-    from the chain, which should leave no fitted modulation.
+    c1/(c0 - p_dark), which is NaN when the fitted c0 does not exceed
+    p_dark. With ``control=True`` the interferometer is removed from the
+    chain, which should leave no fitted modulation. ``workers`` is accepted
+    for compatibility and has no effect (it must still be >= 1).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     phis = default_phi_grid() if phi_grid is None else np.asarray(phi_grid, dtype=float)
     if phis.size < 4:
         raise ValueError(f"fringe scan needs at least 4 phase points, got {phis.size}")
@@ -494,8 +495,7 @@ def run_fig5(
     for i, phi in enumerate(phis):
         phi_arg = None if control else float(phi)
         raw.append(
-            simulate_point(mu, phi_arg, run_params, gates_per_point,
-                           derive_seed(seed, i), n_slots, workers)
+            simulate_point(mu, phi_arg, run_params, gates_per_point, derive_seed(seed, i))
         )
     fitted = fit_cosine(
         phis,
@@ -531,8 +531,6 @@ def run_fig6(
     n_phi: int = DEFAULT_N_PHI,
     gates_per_point: int = DEFAULT_GATES_PER_POINT,
     seed: int = 0,
-    n_slots: int = DEFAULT_N_SLOTS,
-    workers: int = 1,
 ) -> ScanResult:
     """Fringe visibility versus mu, Monte Carlo against the analytic curve.
 
@@ -551,9 +549,7 @@ def run_fig6(
     v_analytic_sub: list[float] = []
     detectable: list[float] = []
     for j, mu in enumerate(mus):
-        scan = run_fig5(
-            params, mu, phis, gates_per_point, derive_seed(seed, j), n_slots, workers
-        )
+        scan = run_fig5(params, mu, phis, gates_per_point, derive_seed(seed, j))
         v_raw.append(scan.fit["visibility"])
         v_raw_sigma.append(scan.fit["visibility_sigma"])
         v_sub.append(scan.fit["visibility_sub"])

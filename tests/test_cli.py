@@ -64,6 +64,50 @@ class TestValidate:
         assert "chain" in capsys.readouterr().err
 
 
+def _set(path: str, value):
+    """Config override: set the dotted key ``path`` to ``value``."""
+    def apply(config: dict) -> None:
+        *parents, leaf = path.split(".")
+        section = config
+        for key in parents:
+            section = section[key]
+        section[leaf] = value
+    return apply
+
+
+class TestNumbersExitOne:
+    @pytest.mark.parametrize(
+        "override, argv",
+        [
+            (_set("seed", math.nan), ["validate"]),
+            (_set("seed", math.inf), ["validate"]),
+            (_set("seed", 1.7), ["validate"]),
+            (_set("scenarios.fig5.mu", math.nan), ["validate"]),
+            (_set("scenarios.fig6.mu", [0.7, -math.inf]), ["validate"]),
+            (_set("scenarios.fig5.n_phi", 8.5), ["validate"]),
+            (_set("scenarios.fig4b.gates_per_point", 1_000_000.5), ["validate"]),
+            (_set("chain.noise_coeff_beta", math.nan), ["validate"]),
+            (_set("apparatus.eta_nor_per_w", math.nan), ["validate"]),
+            (None, ["run", "fig5", "--seed", "-1"]),
+        ],
+        ids=[
+            "seed-nan", "seed-inf", "seed-fractional", "mu-nan", "grid-inf",
+            "n_phi-fractional", "gates-fractional", "chain-nan", "apparatus-nan",
+            "cli-seed-negative",
+        ],
+    )
+    def test_exit_1_without_traceback(self, tmp_path, capsys, override, argv):
+        config = _fast_config(tmp_path)
+        if override is not None:
+            raw = json.loads(config.read_text())
+            override(raw)
+            config.write_text(json.dumps(raw))
+        assert main(argv + [str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestCalibrateCommand:
     def test_default_targets_report(self, tmp_path):
         config = _fast_config(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 from qfdc.detector import click_probability, derive_seed
 from qfdc.experiment import (
     ChainParams,
+    CosineFit,
     analytic_visibility,
     chain_point_mean,
     default_phi_grid,
@@ -120,6 +121,11 @@ class TestChainPointMean:
         rate = expected_rate(0.7, 0.9, biased)
         assert train_mean == pytest.approx(rate.mean_photons, rel=5e-4)
 
+    def test_rejects_phi_average_with_interferometer(self, chain):
+        # phi=None means the phi-averaged fringe, which no single train carries
+        with pytest.raises(ValueError):
+            chain_point_mean(0.7, None, chain)
+
 
 class TestMonteCarloAgainstAnalytic:
     def test_scenario_points_within_5_sigma(self, chain, bare_chain):
@@ -128,6 +134,8 @@ class TestMonteCarloAgainstAnalytic:
             (chain, 0.7, 0.0),
             (chain, 0.7, math.pi),
             (chain, 143.0, math.pi / 2),
+            (chain, 143.0, None),
+            (chain, 0.7, None),
             (bare_chain, 1.0, None),
             (bare_chain, 0.0, None),
         ]
@@ -142,11 +150,8 @@ class TestMonteCarloAgainstAnalytic:
         gates = 1_000_000
         p = expected_rate(0.7, 1.0, chain).click_probability
         sigma = math.sqrt(p * (1 - p) / gates)
-        mean = chain_point_mean(0.7, 1.0, chain)
-        from qfdc.detector import sample_gates
-
         ok = sum(
-            abs(sample_gates(mean, chain.detector, gates, seed=s).p_click - p) < 5 * sigma
+            abs(simulate_point(0.7, 1.0, chain, gates, seed=s).p_click - p) < 5 * sigma
             for s in range(100)
         )
         assert ok >= 99
@@ -178,6 +183,13 @@ class TestFitHelpers:
             c1 / (c0 - dark), rel=1e-12
         )
         assert fit.visibility_dark_subtracted_sigma(dark) > fit.visibility_sigma
+
+    @pytest.mark.parametrize("c0", [2.6e-5, 2.0e-5])
+    def test_dark_subtracted_visibility_undefined_at_or_below_dark(self, c0):
+        # a dark-subtracted offset <= 0 leaves the ratio undefined: NaN, not a raise
+        fit = CosineFit(c0=c0, c1=1e-6, c0_sigma=1e-7, c1_sigma=1e-7, c0c1_cov=0.0)
+        assert math.isnan(fit.visibility_dark_subtracted(2.6e-5))
+        assert math.isnan(fit.visibility_dark_subtracted_sigma(2.6e-5))
 
     def test_through_origin_fit(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
@@ -264,6 +276,19 @@ class TestScenarioDrivers:
     def test_fig5_rejects_short_grid(self, chain):
         with pytest.raises(ValueError):
             run_fig5(chain, 0.7, phi_grid=[0.0, 1.0, 2.0], gates_per_point=1000, seed=1)
+
+    def test_fig5_offset_below_dark(self, chain):
+        # no pump and no signal: the fitted offset is the dark floor plus noise,
+        # and at this seed it lands below the dark count probability
+        scan = run_fig5(chain.at_pump_power(0.0), 0.0, gates_per_point=1_000_000, seed=2)
+        assert scan.fit["c0"] < chain.detector.dark_prob_per_gate
+        assert math.isnan(scan.fit["visibility_sub"])
+        assert math.isnan(scan.fit["visibility_sub_sigma"])
+        assert math.isfinite(scan.fit["visibility"])
+
+    def test_fig5_rejects_zero_workers(self, chain):
+        with pytest.raises(ValueError):
+            run_fig5(chain, 0.7, gates_per_point=1000, seed=1, workers=0)
 
     def test_fig5_control_is_flat(self, chain):
         scan = run_fig5(chain, 143.0, gates_per_point=4_000_000, seed=10, control=True)
