@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from .detector import DetectorSpec
 from .experiment import ChainParams, analytic_visibility, expected_rate
 from .interferometer import InterferometerSpec
-from .mixer import ConverterSpec, conversion_efficiency, derive_process
+from .mixer import ConverterSpec, ThreeWaveProcess, conversion_efficiency, derive_process
 from .optics import mode_from_wavelength
 
 SIGNAL_WAVELENGTH_NM = 712.9
@@ -90,6 +90,26 @@ class CalibrationContext:
     oob_suppression_db: float = 12.0
     signal_wavelength_nm: float = SIGNAL_WAVELENGTH_NM
     pump_wavelength_nm: float = PUMP_WAVELENGTH_NM
+
+    def __post_init__(self) -> None:
+        # build the chain's fixed parts now, so that bad values fail when a
+        # configuration is loaded rather than inside a calibration or a run
+        converter = ConverterSpec(self.process, self.eta_nor_per_w, 0.0, 0.0,
+                                  leak_fraction=self.leak_fraction)
+        conversion_efficiency(converter)  # rejects an amplifier-type process
+        InterferometerSpec(oob_suppression_db=self.oob_suppression_db)
+        # the calibration divides by the efficiency, and a detector that
+        # always clicks leaves nothing to measure
+        if not (self.detector.efficiency > 0.0 and self.detector.dark_prob_per_gate < 1.0):
+            raise ValueError("the detector needs efficiency > 0 and dark_prob_per_gate < 1")
+
+    @property
+    def process(self) -> ThreeWaveProcess:
+        """The pump/signal/converted triple; raises for unusable wavelengths."""
+        return derive_process(
+            mode_from_wavelength(self.pump_wavelength_nm),
+            mode_from_wavelength(self.signal_wavelength_nm),
+        )
 
     @property
     def noise_suppression_factor(self) -> float:
@@ -155,12 +175,8 @@ def calibrated_chain(
     """
     targets = targets or CalibrationTargets()
     context = context or CalibrationContext()
-    process = derive_process(
-        mode_from_wavelength(context.pump_wavelength_nm),
-        mode_from_wavelength(context.signal_wavelength_nm),
-    )
     converter = ConverterSpec(
-        process=process,
+        process=context.process,
         eta_nor_per_w=context.eta_nor_per_w,
         pump_power_w=targets.pump_power_w,
         system_transmission=result.system_transmission,
@@ -269,12 +285,14 @@ def calibrate(
     # solution is valid so an infeasible result still carries its best
     # in-bounds parameters
     product = beta = math.nan
-    if math.isfinite(s_clicks) and s_clicks > 0.0:
-        product = s_clicks / (det.efficiency * targets.mu_fringe * targets.conversion_efficiency)
-        if math.isfinite(b_noise) and b_noise >= 0.0:
-            beta = b_noise / (
-                det.efficiency * product * context.noise_suppression_factor * targets.pump_power_w
-            )
+    signal_scale = det.efficiency * targets.mu_fringe * targets.conversion_efficiency
+    if math.isfinite(s_clicks) and s_clicks > 0.0 and signal_scale > 0.0:
+        product = s_clicks / signal_scale
+        noise_scale = (
+            det.efficiency * product * context.noise_suppression_factor * targets.pump_power_w
+        )
+        if math.isfinite(b_noise) and b_noise >= 0.0 and noise_scale > 0.0:
+            beta = b_noise / noise_scale
 
     fitted = {
         "system_transmission": t_sys,
@@ -286,6 +304,8 @@ def calibrate(
         lo, hi = all_bounds[name]
         if math.isnan(value):
             fitted[name] = lo
+            if not problems:  # only a scale factor that underflows to zero gets here
+                problems.append(f"{name} is undefined: its scale factor underflows to zero")
         elif not lo <= value <= hi:
             problems.append(f"{name} = {value:.6g} violates bounds [{lo:g}, {hi:g}]")
             fitted[name] = _clip(value, lo, hi)

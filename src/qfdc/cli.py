@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .calibration import (
     CalibrationContext,
     CalibrationResult,
@@ -33,6 +31,7 @@ from .experiment import (
     DEFAULT_N_PHI,
     ChainParams,
     ScanResult,
+    default_phi_grid,
     run_fig4a,
     run_fig4b,
     run_fig5,
@@ -41,13 +40,7 @@ from .experiment import (
 
 OUTPUT_DIR_ENV = "QFDC_OUTPUT_DIR"
 
-SCENARIOS = ("fig4a", "fig4b", "fig5", "fig6")
-
 DEFAULT_SEED = 20260810
-
-DEFAULT_POWER_GRID_MW = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0]
-DEFAULT_FIG4B_MU_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 125.0]
-DEFAULT_FIG6_MU_GRID = [0.01, 0.03, 0.09, 0.2, 0.45, 0.7, 1.5, 3.0, 7.0, 15.0, 45.0]
 
 CSV_SCHEMAS = {
     "fig4a": ["power_mw", "efficiency", "eff_sigma", "noise_per_gate", "noise_sigma"],
@@ -72,12 +65,14 @@ def _is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _number(section: dict, key: str, default, path: str, minimum=None):
+def _number(section: dict, key: str, default, path: str, minimum=None, above=None):
     value = section.get(key, default)
     if not _is_finite_number(value):
         raise ConfigError(f"key {path}{key!r} must be a finite number")
     if minimum is not None and value < minimum:
         raise ConfigError(f"key {path}{key!r} must be >= {minimum}")
+    if above is not None and value <= above:
+        raise ConfigError(f"key {path}{key!r} must be > {above}")
     return value
 
 
@@ -88,48 +83,125 @@ def _integer(section: dict, key: str, default, path: str, minimum=None) -> int:
     return int(value)
 
 
-def _grid(section: dict, key: str, default, path: str) -> list[float]:
+def _grid(section: dict, key: str, default, path: str, minimum=None) -> tuple[float, ...]:
     values = section.get(key, default)
-    if not isinstance(values, list) or not values or not all(
-        _is_finite_number(v) for v in values
-    ):
+    if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"key {path}{key!r} must be a non-empty list of finite numbers")
-    return [float(v) for v in values]
+    return tuple(float(_number({key: v}, key, None, path, minimum)) for v in values)
 
 
-@dataclass
-class ScenarioSettings:
-    power_mw: list[float] = field(default_factory=lambda: list(DEFAULT_POWER_GRID_MW))
-    fig4a_mu: float = 125.0
-    fig4a_gates: int = DEFAULT_GATES_PER_POINT
-    fig4b_mu: list[float] = field(default_factory=lambda: list(DEFAULT_FIG4B_MU_GRID))
-    fig4b_gates: int = 100_000_000
-    fig5_mu: float = 0.7
-    fig5_n_phi: int = DEFAULT_N_PHI
-    fig5_gates: int = DEFAULT_GATES_PER_POINT
-    fig5_control: bool = False
-    fig6_mu: list[float] = field(default_factory=lambda: list(DEFAULT_FIG6_MU_GRID))
-    fig6_n_phi: int = DEFAULT_N_PHI
-    fig6_gates: int = DEFAULT_GATES_PER_POINT
+def _boolean(section: dict, key: str, default, path: str) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"key {path}{key!r} must be a boolean")
+    return value
+
+
+#: Parser per scenario field annotation; the field's metadata are its bounds.
+_FIELD_PARSERS = {"float": _number, "int": _integer, "tuple[float, ...]": _grid, "bool": _boolean}
+_NON_NEGATIVE = {"minimum": 0.0}
+_GATES = {"minimum": 1}
+_N_PHI = {"minimum": 4}
+
+# One frozen dataclass per scenario: its fields are the keys of the config
+# section ``scenarios.<name>``, their defaults the default settings.
+# ``interferometer`` picks the chain; ``run`` calls the driver by name.
+
+
+@dataclass(frozen=True)
+class Fig4a:
+    """Pump-power sweep: conversion efficiency and pump-induced noise."""
+
+    power_mw: tuple[float, ...] = field(
+        default=(0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0), metadata=_NON_NEGATIVE
+    )
+    mu: float = field(default=125.0, metadata={"above": 0.0})
+    gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
+
+    interferometer = False
+
+    def run(self, chain: ChainParams, seed: int) -> ScanResult:
+        return run_fig4a(chain, [p * 1e-3 for p in self.power_mw], mu=self.mu,
+                         gates_per_point=self.gates_per_point, seed=seed)
+
+
+@dataclass(frozen=True)
+class Fig4b:
+    """Count rate per gate versus mu, floor-subtracted, with a through-origin fit."""
+
+    mu: tuple[float, ...] = field(
+        default=(0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 125.0), metadata=_NON_NEGATIVE
+    )
+    gates_per_point: int = field(default=100_000_000, metadata=_GATES)
+
+    interferometer = False
+
+    def run(self, chain: ChainParams, seed: int) -> ScanResult:
+        return run_fig4b(chain, self.mu, gates_per_point=self.gates_per_point, seed=seed)
+
+
+@dataclass(frozen=True)
+class Fig5:
+    """Fringe scan over the phase-modulation depth (``control``: no interferometer)."""
+
+    mu: float = field(default=0.7, metadata=_NON_NEGATIVE)
+    n_phi: int = field(default=DEFAULT_N_PHI, metadata=_N_PHI)
+    gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
+    control: bool = False
+
+    interferometer = True
+
+    def run(self, chain: ChainParams, seed: int) -> ScanResult:
+        return run_fig5(chain, self.mu, default_phi_grid(self.n_phi),
+                        gates_per_point=self.gates_per_point, seed=seed, control=self.control)
+
+
+@dataclass(frozen=True)
+class Fig6:
+    """Fringe visibility versus mu against the analytic curve."""
+
+    mu: tuple[float, ...] = field(
+        default=(0.01, 0.03, 0.09, 0.2, 0.45, 0.7, 1.5, 3.0, 7.0, 15.0, 45.0),
+        metadata=_NON_NEGATIVE,
+    )
+    n_phi: int = field(default=DEFAULT_N_PHI, metadata=_N_PHI)
+    gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
+
+    interferometer = True
+
+    def run(self, chain: ChainParams, seed: int) -> ScanResult:
+        return run_fig6(chain, self.mu, n_phi=self.n_phi,
+                        gates_per_point=self.gates_per_point, seed=seed)
+
+
+SCENARIOS = {"fig4a": Fig4a, "fig4b": Fig4b, "fig5": Fig5, "fig6": Fig6}
+
+
+def _parse_scenario(spec_type: type, section: dict, path: str):
+    _check_keys(section, {f.name for f in fields(spec_type)}, path)
+    return spec_type(**{
+        f.name: _FIELD_PARSERS[f.type](section, f.name, f.default, path, **f.metadata)
+        for f in fields(spec_type)
+    })
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated run description: chain source, grids, seed, output."""
+    """Validated run description: chain source, scenario settings, seed, output."""
 
     seed: int = DEFAULT_SEED
     output_dir: str | None = None
-    scenario: str | None = None
     targets: CalibrationTargets = field(default_factory=CalibrationTargets)
     context: CalibrationContext = field(default_factory=CalibrationContext)
     chain_params: dict[str, float] | None = None
     chain_from_report: str | None = None
-    settings: ScenarioSettings = field(default_factory=ScenarioSettings)
+    scenarios: dict = field(
+        default_factory=lambda: {name: spec() for name, spec in SCENARIOS.items()}
+    )
 
 
 _TOP_KEYS = {
-    "seed", "output_dir", "scenario",
-    "targets", "apparatus", "chain", "chain_from_report", "scenarios",
+    "seed", "output_dir", "targets", "apparatus", "chain", "chain_from_report", "scenarios",
 }
 _TARGET_KEYS = {f.name for f in fields(CalibrationTargets)}
 _APPARATUS_KEYS = {
@@ -140,12 +212,6 @@ _DETECTOR_KEYS = {"efficiency", "dark_prob_per_gate", "gate_rate_hz"}
 _CHAIN_KEYS = {
     "system_transmission", "noise_coeff_beta",
     "transmission_product", "intrinsic_visibility_v0",
-}
-_SCENARIO_SECTION_KEYS = {
-    "fig4a": {"power_mw", "mu", "gates_per_point"},
-    "fig4b": {"mu", "gates_per_point"},
-    "fig5": {"mu", "n_phi", "gates_per_point", "control"},
-    "fig6": {"mu", "n_phi", "gates_per_point"},
 }
 
 
@@ -168,11 +234,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("key 'output_dir' must be a string")
     cfg.output_dir = output_dir
-
-    scenario = raw.get("scenario")
-    if scenario is not None and scenario not in SCENARIOS:
-        raise ConfigError(f"key 'scenario' must be one of {SCENARIOS}, got {scenario!r}")
-    cfg.scenario = scenario
 
     targets_raw = raw.get("targets", {})
     if not isinstance(targets_raw, dict):
@@ -217,32 +278,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     scenarios_raw = raw.get("scenarios", {})
     if not isinstance(scenarios_raw, dict):
         raise ConfigError("key 'scenarios' must be an object")
-    _check_keys(scenarios_raw, set(_SCENARIO_SECTION_KEYS), "scenarios.")
-    s = cfg.settings
+    _check_keys(scenarios_raw, SCENARIOS, "scenarios.")
     for name, section in scenarios_raw.items():
         if not isinstance(section, dict):
             raise ConfigError(f"key 'scenarios.{name}' must be an object")
-        prefix = f"scenarios.{name}."
-        _check_keys(section, _SCENARIO_SECTION_KEYS[name], prefix)
-        if name == "fig4a":
-            s.power_mw = _grid(section, "power_mw", s.power_mw, prefix)
-            s.fig4a_mu = float(_number(section, "mu", s.fig4a_mu, prefix, minimum=0))
-            s.fig4a_gates = _integer(section, "gates_per_point", s.fig4a_gates, prefix, minimum=1)
-        elif name == "fig4b":
-            s.fig4b_mu = _grid(section, "mu", s.fig4b_mu, prefix)
-            s.fig4b_gates = _integer(section, "gates_per_point", s.fig4b_gates, prefix, minimum=1)
-        elif name == "fig5":
-            s.fig5_mu = float(_number(section, "mu", s.fig5_mu, prefix, minimum=0))
-            s.fig5_n_phi = _integer(section, "n_phi", s.fig5_n_phi, prefix, minimum=4)
-            s.fig5_gates = _integer(section, "gates_per_point", s.fig5_gates, prefix, minimum=1)
-            control = section.get("control", s.fig5_control)
-            if not isinstance(control, bool):
-                raise ConfigError(f"key {prefix}'control' must be a boolean")
-            s.fig5_control = control
-        else:
-            s.fig6_mu = _grid(section, "mu", s.fig6_mu, prefix)
-            s.fig6_n_phi = _integer(section, "n_phi", s.fig6_n_phi, prefix, minimum=4)
-            s.fig6_gates = _integer(section, "gates_per_point", s.fig6_gates, prefix, minimum=1)
+        cfg.scenarios[name] = _parse_scenario(SCENARIOS[name], section, f"scenarios.{name}.")
     return cfg
 
 
@@ -279,66 +319,28 @@ def _output_path(cfg: ScenarioConfig, out_arg: str | None, default_name: str) ->
     return Path(base) / default_name
 
 
-def _format(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
+def _write_csv(path: Path, header: list[str], scan: ScanResult) -> None:
+    """Write the scan's leading ``len(header)`` columns under ``header``."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    columns = list(scan.columns.values())[: len(header)]
     lines = [",".join(header)]
-    lines += [",".join(_format(v) for v in row) for row in rows]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _scan_rows(scenario: str, scan: ScanResult) -> list[list[float]]:
-    n = len(scan.abscissa)
-    if scenario == "fig4a":
-        c = scan.columns
-        return [
-            [scan.abscissa[i], c["efficiency"][i], c["eff_sigma"][i],
-             c["noise_per_gate"][i], c["noise_sigma"][i]]
-            for i in range(n)
-        ]
-    if scenario == "fig4b":
-        assert scan.raw is not None and scan.corrected is not None
-        return [
-            [scan.abscissa[i], scan.raw[i].p_click, scan.raw[i].sigma_p,
-             scan.corrected[i].p, scan.corrected[i].sigma, scan.columns["fit_line"][i]]
-            for i in range(n)
-        ]
-    if scenario == "fig5":
-        return [
-            [scan.abscissa[i], scan.columns["rate_per_s"][i], scan.columns["rate_sigma"][i]]
-            for i in range(n)
-        ]
-    c = scan.columns
-    return [
-        [scan.abscissa[i], c["v_raw"][i], c["v_raw_sigma"][i],
-         c["v_sub"][i], c["v_sub_sigma"][i], c["v_analytic"][i]]
-        for i in range(n)
-    ]
 
 
 def run_scenario(
     scenario: str, cfg: ScenarioConfig, seed: int, control_override: bool = False
 ) -> ScanResult:
-    s = cfg.settings
-    if scenario == "fig4a":
-        chain = _chain_from_config(cfg, with_interferometer=False)
-        return run_fig4a(chain, [p * 1e-3 for p in s.power_mw], mu=s.fig4a_mu,
-                         gates_per_point=s.fig4a_gates, seed=seed)
-    if scenario == "fig4b":
-        chain = _chain_from_config(cfg, with_interferometer=False)
-        return run_fig4b(chain, s.fig4b_mu, gates_per_point=s.fig4b_gates, seed=seed)
-    if scenario == "fig5":
-        control = s.fig5_control or control_override
-        chain = _chain_from_config(cfg, with_interferometer=True)
-        phis = np.linspace(0.0, 2.0 * math.pi, s.fig5_n_phi, endpoint=False)
-        return run_fig5(chain, s.fig5_mu, phis, gates_per_point=s.fig5_gates,
-                        seed=seed, control=control)
-    chain = _chain_from_config(cfg, with_interferometer=True)
-    return run_fig6(chain, s.fig6_mu, n_phi=s.fig6_n_phi,
-                    gates_per_point=s.fig6_gates, seed=seed)
+    spec = cfg.scenarios[scenario]
+    if control_override:
+        if not hasattr(spec, "control"):
+            raise ConfigError(f"--no-interferometer has no meaning for {scenario}")
+        spec = replace(spec, control=True)
+    chain = _chain_from_config(cfg, with_interferometer=spec.interferometer)
+    try:
+        return spec.run(chain, seed)
+    except ValueError as exc:  # a driver rejecting settings it cannot run
+        raise ConfigError(f"cannot run {scenario}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -387,8 +389,6 @@ def cmd_calibrate(args) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        if args.no_interferometer and args.scenario != "fig5":
-            raise ConfigError("--no-interferometer is only meaningful for fig5")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         seed = cfg.seed if args.seed is None else args.seed
@@ -398,7 +398,7 @@ def cmd_run(args) -> int:
         return 1
     path = _output_path(cfg, args.out, f"{args.scenario}.csv")
     try:
-        _write_csv(path, CSV_SCHEMAS[args.scenario], _scan_rows(args.scenario, scan))
+        _write_csv(path, CSV_SCHEMAS[args.scenario], scan)
     except OSError as exc:
         print(f"error: cannot write CSV: {exc}", file=sys.stderr)
         return 1

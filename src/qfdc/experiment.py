@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .detector import (
-    CorrectedRate,
     CountSummary,
     DetectorSpec,
     click_probability,
@@ -222,10 +221,15 @@ class CosineFit:
 
     @property
     def visibility(self) -> float:
+        """c1/c0; NaN when the fitted offset is not positive."""
+        if self.c0 <= 0.0:
+            return math.nan
         return self.c1 / self.c0
 
     @property
     def visibility_sigma(self) -> float:
+        if self.c0 <= 0.0:
+            return math.nan
         return self._ratio_sigma(self.c0)
 
     def visibility_dark_subtracted(self, dark_prob: float) -> float:
@@ -283,12 +287,13 @@ class LineFit:
 
 
 def fit_through_origin(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> LineFit:
+    """Weighted fit; slope and sigma are NaN when every abscissa is zero."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
     denom = float(np.sum(w * x * x))
     if denom == 0.0:
-        raise ValueError("through-origin fit needs at least one nonzero abscissa")
+        return LineFit(slope=math.nan, slope_sigma=math.nan)
     slope = float(np.sum(w * x * y)) / denom
     return LineFit(slope=slope, slope_sigma=math.sqrt(1.0 / denom))
 
@@ -303,35 +308,35 @@ def _sigma_floor(summary: CountSummary) -> float:
 
 @dataclass
 class ScanResult:
-    """Tabulated sweep output: one row per abscissa value.
+    """Tabulated sweep output: ordered columns, one row per scan point.
 
-    ``raw`` holds the per-point signal-run summaries where a scenario has a
-    single Monte Carlo run per point; derived per-point quantities live in
-    ``columns`` and scalar fit outputs in ``fit``.
+    The first column is the abscissa, and the leading columns are the CSV in
+    CSV order. ``fit`` holds the scalar fit outputs and ``raw`` the per-point
+    signal-run summaries (fig4a, fig4b, fig5).
     """
 
-    abscissa_label: str
-    abscissa: list[float]
-    raw: list[CountSummary] | None = None
-    background: list[CountSummary] | None = None
-    corrected: list[CorrectedRate] | None = None
-    columns: dict[str, list[float]] = field(default_factory=dict)
+    columns: dict[str, list[float]]
     fit: dict[str, float] = field(default_factory=dict)
+    raw: list[CountSummary] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.abscissa)
-        for name, seq in (
-            ("raw", self.raw),
-            ("background", self.background),
-            ("corrected", self.corrected),
-        ):
-            if seq is not None and len(seq) != n:
-                raise ValueError(f"{name} has {len(seq)} entries for {n} points")
+        if self.raw is not None and len(self.raw) != n:
+            raise ValueError(f"raw has {len(self.raw)} entries for {n} points")
         for name, col in self.columns.items():
             if len(col) != n:
                 raise ValueError(f"column {name!r} has {len(col)} entries for {n} points")
             if name.endswith("sigma") and any(v < 0.0 for v in col):
                 raise ValueError(f"column {name!r} contains negative sigmas")
+
+    @property
+    def abscissa(self) -> list[float]:
+        return next(iter(self.columns.values()))
+
+
+def _table(names: tuple[str, ...], rows: list[tuple]) -> dict[str, list[float]]:
+    """Named columns from per-point rows."""
+    return {name: [row[k] for row in rows] for k, name in enumerate(names)}
 
 
 # --- scenario drivers ------------------------------------------------------
@@ -359,52 +364,43 @@ def run_fig4a(
     det = params.detector
     t_post = params.post_converter_transmission
     powers = [float(p) for p in power_grid_w]
-    raw: list[CountSummary] = []
-    background: list[CountSummary] = []
-    eff: list[float] = []
-    eff_sigma: list[float] = []
-    noise: list[float] = []
-    noise_sigma: list[float] = []
     eff_denom = det.efficiency * mu * t_post
     noise_denom = det.efficiency * t_post
+    if eff_denom == 0.0 or noise_denom == 0.0:
+        raise ValueError("no signal reaches the detector: its efficiency or the transmission is 0")
+    raw: list[CountSummary] = []
+    rows: list[tuple] = []
+    noise_fit_sigma: list[float] = []
     for i, power in enumerate(powers):
         point = params.at_pump_power(power)
         sig = simulate_point(mu, None, point, gates_per_point, derive_seed(seed, i, 0))
         bg = simulate_point(0.0, None, point, gates_per_point, derive_seed(seed, i, 1))
         raw.append(sig)
-        background.append(bg)
         # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
         # survive the (saturated) p = 1 corner
         miss_sig = max(1.0 - sig.p_click, 1e-300)
         miss_bg = max(1.0 - bg.p_click, 1e-300)
-        eff.append(math.log(miss_bg / miss_sig) / eff_denom)
-        eff_sigma.append(
-            math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom
-        )
-        noise.append(math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / noise_denom)
-        noise_sigma.append(bg.sigma_p / (miss_bg * noise_denom))
+        rows.append((
+            power * 1e3,
+            math.log(miss_bg / miss_sig) / eff_denom,
+            math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom,
+            math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / noise_denom,
+            bg.sigma_p / (miss_bg * noise_denom),
+        ))
+        noise_fit_sigma.append(_sigma_floor(bg) / (miss_bg * noise_denom))
+    columns = _table(
+        ("power_mw", "efficiency", "eff_sigma", "noise_per_gate", "noise_sigma"), rows
+    )
     positive = [i for i, p in enumerate(powers) if p > 0.0]
     fit: dict[str, float] = {}
     if positive:
         line = fit_through_origin(
             np.array([powers[i] for i in positive]),
-            np.array([noise[i] for i in positive]),
-            np.array([max(noise_sigma[i], 1e-300) for i in positive]),
+            np.array([columns["noise_per_gate"][i] for i in positive]),
+            np.array([noise_fit_sigma[i] for i in positive]),
         )
         fit = {"noise_slope_per_w": line.slope, "noise_slope_sigma": line.slope_sigma}
-    return ScanResult(
-        abscissa_label="power_mw",
-        abscissa=[p * 1e3 for p in powers],
-        raw=raw,
-        background=background,
-        columns={
-            "efficiency": eff,
-            "eff_sigma": eff_sigma,
-            "noise_per_gate": noise,
-            "noise_sigma": noise_sigma,
-        },
-        fit=fit,
-    )
+    return ScanResult(columns=columns, fit=fit, raw=raw)
 
 
 def run_fig4b(
@@ -420,36 +416,30 @@ def run_fig4b(
         raise ValueError("the count-rate sweep runs without the interferometer")
     mus = [float(m) for m in mu_grid]
     raw: list[CountSummary] = []
-    background: list[CountSummary] = []
-    corrected: list[CorrectedRate] = []
+    floors: list[float] = []
+    rows: list[tuple] = []
     for i, mu in enumerate(mus):
         sig = simulate_point(mu, None, params, gates_per_point, derive_seed(seed, i, 0))
         bg = simulate_point(0.0, None, params, gates_per_point, derive_seed(seed, i, 1))
+        corrected = dark_subtract(sig, bg)
         raw.append(sig)
-        background.append(bg)
-        corrected.append(dark_subtract(sig, bg))
+        floors.append(bg.p_click)
+        rows.append((mu, sig.p_click, sig.sigma_p, corrected.p, corrected.sigma))
+    columns = _table(("mu", "p_raw", "p_raw_sigma", "p_subtracted", "p_subtracted_sigma"), rows)
     line = fit_through_origin(
         np.array(mus),
-        np.array([c.p for c in corrected]),
-        np.array([max(c.sigma, 1e-300) for c in corrected]),
+        np.array(columns["p_subtracted"]),
+        np.array([max(s, 1.0 / gates_per_point) for s in columns["p_subtracted_sigma"]]),
     )
-    fit_line = [line.slope * mu for mu in mus]
-    rel_residual = [
-        (c.p - f) / f if f != 0.0 else math.nan for c, f in zip(corrected, fit_line)
-    ]
-    floor = float(np.mean([b.p_click for b in background]))
+    columns["fit_line"] = [line.slope * mu for mu in mus]
     return ScanResult(
-        abscissa_label="mu",
-        abscissa=mus,
-        raw=raw,
-        background=background,
-        corrected=corrected,
-        columns={"fit_line": fit_line, "rel_residual": rel_residual},
+        columns=columns,
         fit={
             "slope": line.slope,
             "slope_sigma": line.slope_sigma,
-            "floor_mean": floor,
+            "floor_mean": float(np.mean(floors)),
         },
+        raw=raw,
     )
 
 
@@ -471,9 +461,9 @@ def run_fig5(
     """Fringe scan: count rate versus the phase-modulation depth phi.
 
     Fits c0 + c1*cos(phi) and reports the visibility c1/c0 with its
-    propagated uncertainty, plus the dark-subtracted visibility
-    c1/(c0 - p_dark), which is NaN when the fitted c0 does not exceed
-    p_dark. With ``control=True`` the interferometer is removed from the
+    propagated uncertainty, NaN when the fitted c0 is not positive, plus the
+    dark-subtracted visibility c1/(c0 - p_dark), which is NaN when the
+    fitted c0 does not exceed p_dark. With ``control=True`` the interferometer is removed from the
     chain, which should leave no fitted modulation. ``workers`` is accepted
     for compatibility and has no effect (it must still be >= 1).
     """
@@ -504,10 +494,8 @@ def run_fig5(
     )
     dark = params.detector.dark_prob_per_gate
     return ScanResult(
-        abscissa_label="phi_rad",
-        abscissa=[float(p) for p in phis],
-        raw=raw,
         columns={
+            "phi_rad": [float(p) for p in phis],
             "rate_per_s": [s.rate_per_s for s in raw],
             "rate_sigma": [s.sigma_p * s.gate_rate_hz for s in raw],
         },
@@ -522,6 +510,7 @@ def run_fig5(
             "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark),
             "control": 1.0 if control else 0.0,
         },
+        raw=raw,
     )
 
 
@@ -541,35 +530,18 @@ def run_fig6(
         raise ValueError("the visibility sweep requires an interferometer in the chain")
     mus = [float(m) for m in mu_grid]
     phis = default_phi_grid(n_phi)
-    v_raw: list[float] = []
-    v_raw_sigma: list[float] = []
-    v_sub: list[float] = []
-    v_sub_sigma: list[float] = []
-    v_analytic: list[float] = []
-    v_analytic_sub: list[float] = []
-    detectable: list[float] = []
+    rows: list[tuple] = []
     for j, mu in enumerate(mus):
-        scan = run_fig5(params, mu, phis, gates_per_point, derive_seed(seed, j))
-        v_raw.append(scan.fit["visibility"])
-        v_raw_sigma.append(scan.fit["visibility_sigma"])
-        v_sub.append(scan.fit["visibility_sub"])
-        v_sub_sigma.append(scan.fit["visibility_sub_sigma"])
+        fit = run_fig5(params, mu, phis, gates_per_point, derive_seed(seed, j)).fit
         curve = analytic_visibility(mu, params)
-        v_analytic.append(curve.raw)
-        v_analytic_sub.append(curve.subtracted)
-        detectable.append(1.0 if scan.fit["visibility"] > 3.0 * scan.fit["visibility_sigma"] else 0.0)
-    detected = [m for m, flag in zip(mus, detectable) if flag > 0.0]
+        detectable = fit["visibility"] > 3.0 * fit["visibility_sigma"]
+        rows.append((mu, fit["visibility"], fit["visibility_sigma"], fit["visibility_sub"],
+                     fit["visibility_sub_sigma"], curve.raw, curve.subtracted,
+                     1.0 if detectable else 0.0))
+    columns = _table(("mu", "v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma", "v_analytic",
+                      "v_analytic_sub", "detectable"), rows)
+    detected = [m for m, flag in zip(mus, columns["detectable"]) if flag > 0.0]
     return ScanResult(
-        abscissa_label="mu",
-        abscissa=mus,
-        columns={
-            "v_raw": v_raw,
-            "v_raw_sigma": v_raw_sigma,
-            "v_sub": v_sub,
-            "v_sub_sigma": v_sub_sigma,
-            "v_analytic": v_analytic,
-            "v_analytic_sub": v_analytic_sub,
-            "detectable": detectable,
-        },
+        columns=columns,
         fit={"smallest_detectable_mu": min(detected) if detected else math.nan},
     )

@@ -44,7 +44,8 @@ class OpticalMode:
 def mode_from_wavelength(wavelength_nm: float) -> OpticalMode:
     """Build an :class:`OpticalMode` from a vacuum wavelength in nm."""
     wavelength_nm = float(wavelength_nm)
-    if not (math.isfinite(wavelength_nm) and wavelength_nm > 0.0):
+    # checked in metres: a subnormal wavelength in nm underflows to 0 m
+    if not (math.isfinite(wavelength_nm) and wavelength_nm * 1e-9 > 0.0):
         raise ValueError(f"wavelength_nm must be finite and > 0, got {wavelength_nm}")
     return OpticalMode(wavelength_nm, _TWO_PI_C / (wavelength_nm * 1e-9))
 

@@ -113,16 +113,17 @@ def test_criterion_2_calibration(calibration):
 def test_criterion_3_count_rate_sweep(fig4b_scan):
     scan = fig4b_scan
     fit_ok = True
-    for mu, corr, line in zip(scan.abscissa, scan.corrected, scan.columns["fit_line"]):
-        if abs(corr.p - line) >= 3.0 * corr.sigma:
+    subtracted = list(zip(scan.columns["p_subtracted"], scan.columns["p_subtracted_sigma"]))
+    for mu, (p_sub, sigma), line in zip(scan.abscissa, subtracted, scan.columns["fit_line"]):
+        if abs(p_sub - line) >= 3.0 * sigma:
             fit_ok = False
     raw_ok = True
     for mu, raw, line in zip(scan.abscissa, scan.raw, scan.columns["fit_line"]):
         if mu <= 0.1 and (raw.p_click - line) <= 3.0 * raw.sigma_p:
             raw_ok = False
     worst = max(
-        abs(c.p - f) / c.sigma
-        for c, f in zip(scan.corrected, scan.columns["fit_line"])
+        abs(p_sub - f) / sigma
+        for (p_sub, sigma), f in zip(subtracted, scan.columns["fit_line"])
     )
     _report(
         "3",

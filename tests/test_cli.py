@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfdc.cli import CSV_SCHEMAS, ConfigError, load_config, main
+from qfdc.cli import CSV_SCHEMAS, SCENARIOS, ConfigError, load_config, main, run_scenario
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
@@ -75,6 +81,28 @@ def _set(path: str, value):
     return apply
 
 
+def _apparatus(values: dict):
+    """Config override: update ``apparatus`` and drop the explicit chain, so
+    ``run`` has to calibrate from the apparatus values."""
+    def apply(config: dict) -> None:
+        config["apparatus"].update(values)
+        del config["chain"]
+    return apply
+
+
+_BAD_APPARATUS = [
+    {"leak_fraction": 1.5},
+    {"leak_fraction": -0.1},
+    {"oob_suppression_db": -3.0},
+    {"eta_nor_per_w": -1.0},
+    {"signal_wavelength_nm": 2000.0},  # pump above the signal: amplifier-type
+    {"signal_wavelength_nm": 1551.1},  # same frequency as the pump
+    {"signal_wavelength_nm": 5e-324},  # underflows to 0 m
+    {"pump_wavelength_nm": 0.0},
+]
+_COMMANDS = [["validate"], ["calibrate"], ["run", "fig5"]]
+
+
 class TestNumbersExitOne:
     @pytest.mark.parametrize(
         "override, argv",
@@ -89,11 +117,19 @@ class TestNumbersExitOne:
             (_set("chain.noise_coeff_beta", math.nan), ["validate"]),
             (_set("apparatus.eta_nor_per_w", math.nan), ["validate"]),
             (None, ["run", "fig5", "--seed", "-1"]),
+            (_set("chain.transmission_product", 0.0), ["run", "fig4a"]),
+            # no background passes the interferometer: the noise scale underflows
+            (_apparatus({"leak_fraction": 1.0, "oob_suppression_db": 4000.0}), ["run", "fig5"]),
+        ] + [
+            (_apparatus(values), argv) for values in _BAD_APPARATUS for argv in _COMMANDS
         ],
         ids=[
             "seed-nan", "seed-inf", "seed-fractional", "mu-nan", "grid-inf",
             "n_phi-fractional", "gates-fractional", "chain-nan", "apparatus-nan",
-            "cli-seed-negative",
+            "cli-seed-negative", "no-light-fig4a", "noise-scale-underflow",
+        ] + [
+            f"{key}={value}-{argv[0]}"
+            for values in _BAD_APPARATUS for key, value in values.items() for argv in _COMMANDS
         ],
     )
     def test_exit_1_without_traceback(self, tmp_path, capsys, override, argv):
@@ -230,6 +266,26 @@ class TestRunCommand:
         out = tmp_path / "from_report.csv"
         assert main(["run", "fig5", str(config), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("scenario, slope, sigma", [
+        ("fig4a", "noise_slope_per_w", "noise_slope_sigma"),
+        ("fig4b", "slope", "slope_sigma"),
+        ("fig5", "c1", "c1_sigma"),
+    ])
+    def test_few_gates_give_finite_fits(self, tmp_path, capsys, scenario, slope, sigma):
+        # most points see zero clicks; the one-count sigma floor keeps every
+        # fit weight finite, and a zero fringe offset gives a NaN visibility
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["scenarios"][scenario]["gates_per_point"] = 10
+        config.write_text(json.dumps(raw))
+        assert main(["run", scenario, str(config), "--out", str(tmp_path / "out.csv")]) == 0
+        fit = {}
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            name, value = line.split(":")
+            fit[name.strip()] = float(value)
+        assert math.isfinite(fit[slope])
+        assert math.isfinite(fit[sigma])
+
     def test_missing_report_exit_1(self, tmp_path, capsys):
         config = _fast_config(tmp_path)
         raw = json.loads(config.read_text())
@@ -245,8 +301,28 @@ class TestConfigLoading:
         path.write_text("{}")
         cfg = load_config(path)
         assert cfg.seed == 20260810
-        assert cfg.settings.fig5_mu == 0.7
+        assert cfg.scenarios["fig5"].mu == 0.7
         assert cfg.chain_params is None
+
+    def test_shipped_scenarios_are_the_defaults(self, tmp_path):
+        path = tmp_path / "minimal.json"
+        path.write_text("{}")
+        assert load_config(REPO_CONFIG).scenarios == load_config(path).scenarios
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_csv_schema_leads_the_columns(self, tmp_path, scenario):
+        cfg = load_config(_fast_config(tmp_path))
+        keys = list(run_scenario(scenario, cfg, seed=1).columns)
+        header = CSV_SCHEMAS[scenario]
+        assert len(keys) >= len(header)
+        for name, key in zip(header, keys):
+            assert name == key or (name == "sigma" and key.endswith("_sigma")), (name, key)
+
+    def test_rejects_old_scenario_key(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"scenario": "fig5"}))
+        with pytest.raises(ConfigError, match="scenario"):
+            load_config(path)
 
     def test_shipped_chain_matches_calibration(self):
         cfg = load_config(REPO_CONFIG)
@@ -261,3 +337,86 @@ class TestConfigLoading:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+# --- generated configs --------------------------------------------------------
+
+_ANY = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.5, 2.5, 8.5]),
+    st.floats(min_value=-10.0, max_value=200.0),
+    st.integers(min_value=-5, max_value=1000),
+    st.sampled_from(["0.7", None, True, False, {}, []]),
+)
+
+#: Per scenario field annotation: values of the field's type (half the
+#: time) or anything at all, invalid numbers and wrong types included.
+_FIELD_VALUES = {
+    "float": st.floats(min_value=0.0, max_value=200.0),
+    "int": st.integers(min_value=1, max_value=1000),
+    "bool": st.booleans(),
+    "tuple[float, ...]": st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=200.0), _ANY), min_size=1, max_size=3
+    ),
+}
+
+
+def _section(spec_type):
+    optional = {f.name: st.one_of(_FIELD_VALUES[f.type], _ANY) for f in fields(spec_type)}
+    optional["unknown_key"] = st.just(1)
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+def _apparatus_value(*plausible):
+    return st.one_of(st.sampled_from(plausible), _ANY)
+
+
+_APPARATUS = st.fixed_dictionaries({}, optional={
+    "eta_nor_per_w": _apparatus_value(0.0, 2.0, 50.0),
+    "leak_fraction": _apparatus_value(0.0, 0.8, 1.0),
+    "oob_suppression_db": _apparatus_value(0.0, 12.0, 100.0),
+    "signal_wavelength_nm": _apparatus_value(712.9, 500.0, 1000.0, 1551.1, 2000.0),
+    "pump_wavelength_nm": _apparatus_value(1551.1, 1064.0, 712.9),
+    "detector": st.fixed_dictionaries({}, optional={
+        "efficiency": _apparatus_value(0.05, 1.0),
+        "dark_prob_per_gate": _apparatus_value(0.0, 2.6e-5, 0.5),
+        "gate_rate_hz": _apparatus_value(1e3, 4e6),
+    }),
+})
+
+#: The shipped config at 1000 gates per point; generated values go on top.
+_SMALL_CONFIG = json.loads(REPO_CONFIG.read_text())
+del _SMALL_CONFIG["output_dir"]
+_SMALL_CONFIG["scenarios"] = {
+    "fig4a": {"power_mw": [0.0, 27.0], "gates_per_point": 1000},
+    "fig4b": {"mu": [0.3, 10.0], "gates_per_point": 1000},
+    "fig5": {"n_phi": 8, "gates_per_point": 1000},
+    "fig6": {"mu": [0.7, 3.0], "n_phi": 8, "gates_per_point": 1000},
+}
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        section=st.sampled_from(sorted(SCENARIOS)).flatmap(
+            lambda name: st.tuples(st.just(name), _section(SCENARIOS[name]))
+        ),
+        apparatus=st.one_of(st.just({}), _APPARATUS),
+        keep_chain=st.booleans(),
+    )
+    def test_exit_code_without_traceback(self, section, apparatus, keep_chain):
+        scenario, values = section
+        config = json.loads(json.dumps(_SMALL_CONFIG))
+        config["scenarios"][scenario].update(values)
+        config["apparatus"].update(apparatus)
+        if not keep_chain:
+            del config["chain"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            for argv in (["validate", str(path)],
+                         ["run", scenario, str(path), "--out", str(Path(tmp) / "out.csv")]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err.getvalue()

@@ -191,6 +191,16 @@ class TestFitHelpers:
         assert math.isnan(fit.visibility_dark_subtracted(2.6e-5))
         assert math.isnan(fit.visibility_dark_subtracted_sigma(2.6e-5))
 
+    @pytest.mark.parametrize("c0", [0.0, -1e-6])
+    def test_visibility_undefined_at_or_below_zero_offset(self, c0):
+        fit = CosineFit(c0=c0, c1=1e-6, c0_sigma=1e-7, c1_sigma=1e-7, c0c1_cov=0.0)
+        assert math.isnan(fit.visibility)
+        assert math.isnan(fit.visibility_sigma)
+
+    def test_through_origin_fit_without_nonzero_abscissa(self):
+        fit = fit_through_origin(np.zeros(3), np.ones(3), np.ones(3))
+        assert math.isnan(fit.slope) and math.isnan(fit.slope_sigma)
+
     def test_through_origin_fit(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
         slope = 3.25e-5
@@ -247,9 +257,12 @@ class TestScenarioDrivers:
 
     def test_fig4b_smoke(self, bare_chain):
         scan = run_fig4b(bare_chain, [0.3, 1.0, 10.0], gates_per_point=10_000_000, seed=6)
-        assert len(scan.corrected) == 3
-        for corr, line in zip(scan.corrected, scan.columns["fit_line"]):
-            assert abs(corr.p - line) < 4 * corr.sigma
+        cols = scan.columns
+        assert len(scan.abscissa) == 3
+        for p_sub, sigma, line in zip(
+            cols["p_subtracted"], cols["p_subtracted_sigma"], cols["fit_line"]
+        ):
+            assert abs(p_sub - line) < 4 * sigma
         assert scan.fit["floor_mean"] == pytest.approx(7.17e-5, rel=0.1)
 
     def test_fig4b_slope_matches_chain_efficiency(self, bare_chain):
