@@ -269,6 +269,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if missing:
             raise ConfigError(f"key 'chain' is missing {sorted(missing)}")
         cfg.chain_params = {k: _number(chain_raw, k, None, "chain.") for k in _CHAIN_KEYS}
+        _assemble_chain(cfg.chain_params, cfg, with_interferometer=True)  # bounds only
 
     report_path = raw.get("chain_from_report")
     if report_path is not None and not isinstance(report_path, str):
@@ -305,9 +306,17 @@ def _chain_from_config(cfg: ScenarioConfig, with_interferometer: bool) -> ChainP
                 f"calibration from the configured targets is infeasible: {result.message}"
             )
         fitted = result.fitted()
-    result = CalibrationResult(**fitted)
+    return _assemble_chain(fitted, cfg, with_interferometer)
+
+
+def _assemble_chain(
+    fitted: dict[str, float], cfg: ScenarioConfig, with_interferometer: bool
+) -> ChainParams:
+    """The runnable chain for four chain parameters; out-of-range values exit 1."""
     try:
-        return calibrated_chain(result, cfg.targets, cfg.context, with_interferometer)
+        return calibrated_chain(
+            CalibrationResult(**fitted), cfg.targets, cfg.context, with_interferometer
+        )
     except ValueError as exc:
         raise ConfigError(f"invalid chain parameters: {exc}") from exc
 

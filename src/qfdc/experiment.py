@@ -233,13 +233,14 @@ class CosineFit:
         return self._ratio_sigma(self.c0)
 
     def visibility_dark_subtracted(self, dark_prob: float) -> float:
-        """c1/(c0 - dark_prob); NaN when the dark-subtracted offset is not positive."""
-        if self.c0 <= dark_prob:
+        """c1/(c0 - dark_prob); NaN when the dark-subtracted offset is not
+        resolved from zero, that is when it does not exceed ``c0_sigma``."""
+        if self.c0 - dark_prob <= self.c0_sigma:
             return math.nan
         return self.c1 / (self.c0 - dark_prob)
 
     def visibility_dark_subtracted_sigma(self, dark_prob: float) -> float:
-        if self.c0 <= dark_prob:
+        if self.c0 - dark_prob <= self.c0_sigma:
             return math.nan
         return self._ratio_sigma(self.c0 - dark_prob)
 
@@ -377,27 +378,31 @@ def run_fig4a(
         bg = simulate_point(0.0, None, point, gates_per_point, derive_seed(seed, i, 1))
         raw.append(sig)
         # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
-        # survive the (saturated) p = 1 corner
-        miss_sig = max(1.0 - sig.p_click, 1e-300)
-        miss_bg = max(1.0 - bg.p_click, 1e-300)
-        rows.append((
-            power * 1e3,
-            math.log(miss_bg / miss_sig) / eff_denom,
-            math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom,
-            math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / noise_denom,
-            bg.sigma_p / (miss_bg * noise_denom),
-        ))
-        noise_fit_sigma.append(_sigma_floor(bg) / (miss_bg * noise_denom))
+        # a saturated run (every gate clicked) cannot be inverted, so the
+        # estimators that use it are NaN
+        miss_sig = 1.0 - sig.p_click
+        miss_bg = 1.0 - bg.p_click
+        efficiency = eff_sigma = noise = noise_sigma = fit_sigma = math.nan
+        if miss_bg > 0.0:
+            noise = math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / noise_denom
+            noise_sigma = bg.sigma_p / (miss_bg * noise_denom)
+            fit_sigma = _sigma_floor(bg) / (miss_bg * noise_denom)
+            if miss_sig > 0.0:
+                efficiency = math.log(miss_bg / miss_sig) / eff_denom
+                eff_sigma = math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom
+        rows.append((power * 1e3, efficiency, eff_sigma, noise, noise_sigma))
+        noise_fit_sigma.append(fit_sigma)
     columns = _table(
         ("power_mw", "efficiency", "eff_sigma", "noise_per_gate", "noise_sigma"), rows
     )
     positive = [i for i, p in enumerate(powers) if p > 0.0]
     fit: dict[str, float] = {}
     if positive:
+        fitted = [i for i in positive if not math.isnan(noise_fit_sigma[i])]
         line = fit_through_origin(
-            np.array([powers[i] for i in positive]),
-            np.array([columns["noise_per_gate"][i] for i in positive]),
-            np.array([noise_fit_sigma[i] for i in positive]),
+            np.array([powers[i] for i in fitted]),
+            np.array([columns["noise_per_gate"][i] for i in fitted]),
+            np.array([noise_fit_sigma[i] for i in fitted]),
         )
         fit = {"noise_slope_per_w": line.slope, "noise_slope_sigma": line.slope_sigma}
     return ScanResult(columns=columns, fit=fit, raw=raw)
@@ -462,8 +467,8 @@ def run_fig5(
 
     Fits c0 + c1*cos(phi) and reports the visibility c1/c0 with its
     propagated uncertainty, NaN when the fitted c0 is not positive, plus the
-    dark-subtracted visibility c1/(c0 - p_dark), which is NaN when the
-    fitted c0 does not exceed p_dark. With ``control=True`` the interferometer is removed from the
+    dark-subtracted visibility c1/(c0 - p_dark), which is NaN when c0 - p_dark
+    does not exceed the fitted sigma of c0. With ``control=True`` the interferometer is removed from the
     chain, which should leave no fitted modulation. ``workers`` is accepted
     for compatibility and has no effect (it must still be >= 1).
     """

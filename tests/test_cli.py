@@ -115,6 +115,7 @@ class TestNumbersExitOne:
             (_set("scenarios.fig5.n_phi", 8.5), ["validate"]),
             (_set("scenarios.fig4b.gates_per_point", 1_000_000.5), ["validate"]),
             (_set("chain.noise_coeff_beta", math.nan), ["validate"]),
+            (_set("chain.system_transmission", 1.5), ["validate"]),
             (_set("apparatus.eta_nor_per_w", math.nan), ["validate"]),
             (None, ["run", "fig5", "--seed", "-1"]),
             (_set("chain.transmission_product", 0.0), ["run", "fig4a"]),
@@ -125,7 +126,8 @@ class TestNumbersExitOne:
         ],
         ids=[
             "seed-nan", "seed-inf", "seed-fractional", "mu-nan", "grid-inf",
-            "n_phi-fractional", "gates-fractional", "chain-nan", "apparatus-nan",
+            "n_phi-fractional", "gates-fractional", "chain-nan", "chain-out-of-range",
+            "apparatus-nan",
             "cli-seed-negative", "no-light-fig4a", "noise-scale-underflow",
         ] + [
             f"{key}={value}-{argv[0]}"
@@ -285,6 +287,21 @@ class TestRunCommand:
             fit[name.strip()] = float(value)
         assert math.isfinite(fit[slope])
         assert math.isfinite(fit[sigma])
+
+    def test_saturated_fig4a_gives_nan_noise(self, tmp_path, capsys):
+        # every gate clicks: the click model cannot be inverted, so the noise
+        # estimates are NaN and stay out of the slope fit, without warnings
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["scenarios"]["fig4a"] = {"power_mw": [1e8, 2e8], "gates_per_point": 1000}
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        assert main(["run", "fig4a", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert all(math.isnan(float(v)) for v in row[3:])
 
     def test_missing_report_exit_1(self, tmp_path, capsys):
         config = _fast_config(tmp_path)

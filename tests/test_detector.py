@@ -1,11 +1,14 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfdc.detector import (
+    BLOCK_GATES,
     CountSummary,
     DetectorSpec,
     click_probability,
@@ -15,6 +18,21 @@ from qfdc.detector import (
 )
 
 DETECTOR = DetectorSpec()  # 10% efficiency, 2.6e-5 dark, 4 MHz
+
+
+def _fixed_p(p: float) -> DetectorSpec:
+    """A detector that clicks with probability exactly ``p`` at any light level."""
+    return DetectorSpec(efficiency=0.0, dark_prob_per_gate=p)
+
+
+def _reference_clicks(seed: int, n_gates: int, p: float) -> int:
+    """The definition of the draws: a fresh Philox(key=(seed, i)) per block i."""
+    clicks = 0
+    for i, start in enumerate(range(0, n_gates, BLOCK_GATES)):
+        key = np.array([seed, i], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        clicks += int(rng.binomial(min(BLOCK_GATES, n_gates - start), p))
+    return clicks
 
 
 class TestClickProbability:
@@ -114,6 +132,57 @@ class TestSampleGates:
         assert summary.sigma_p == pytest.approx(
             math.sqrt(summary.p_click * (1 - summary.p_click) / summary.gates), rel=1e-12
         )
+
+
+class TestBlockStreams:
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 3 * BLOCK_GATES + 1000),
+        st.floats(0.0, 1.0),
+    )
+    @example(1, 3 * BLOCK_GATES + 12_345, 2.6e-5)  # partial last block, inversion
+    @example(2, 2 * BLOCK_GATES + 1, 0.3)  # one-gate last block, BTPE
+    @example(3, BLOCK_GATES - 1, 1e-3)  # one partial block
+    @example(4, 4 * BLOCK_GATES, 0.5)  # whole blocks only
+    @example(5, 2_000_000, 0.0)
+    @example(6, 2_000_000, 1.0)
+    @example(2**64 - 1, 1_500_000, 28.0 / BLOCK_GATES)  # n*p just under 30
+    @example(0, 1_500_000, 31.0 / BLOCK_GATES)  # n*p just over 30
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fresh_generator_per_block(self, seed, n_gates, p):
+        assert sample_gates(0.0, _fixed_p(p), n_gates, seed).clicks == _reference_clicks(
+            seed, n_gates, p
+        )
+
+    @pytest.mark.parametrize(
+        "seed, n_gates, p, clicks",
+        [
+            (20260810, 3_000_000, 2.6e-5, 71),
+            (2**64 - 1, 5 * BLOCK_GATES + 17, 0.3, 1_572_411),
+            (7, 123_456_789, 0.01, 1_236_080),
+        ],
+    )
+    def test_golden_click_counts(self, seed, n_gates, p, clicks):
+        # frozen from the one-generator-per-block sampler
+        assert sample_gates(0.0, _fixed_p(p), n_gates, seed).clicks == clicks
+
+    def test_reentrant(self):
+        # calls share no generator: running them concurrently, with threads
+        # switching as often as possible, changes no result
+        cases = [(seed, 6 * BLOCK_GATES + seed, 0.01 * (seed + 1)) for seed in range(6)]
+        alone = [sample_gates(0.0, _fixed_p(p), n, seed) for seed, n, p in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(sample_gates, 0.0, _fixed_p(p), n, seed)
+                    for _ in range(4) for seed, n, p in cases
+                ]
+                together = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == alone * 4
 
 
 class TestDarkSubtract:

@@ -184,9 +184,10 @@ class TestFitHelpers:
         )
         assert fit.visibility_dark_subtracted_sigma(dark) > fit.visibility_sigma
 
-    @pytest.mark.parametrize("c0", [2.6e-5, 2.0e-5])
+    @pytest.mark.parametrize("c0", [2.6e-5, 2.0e-5, 2.605e-5])
     def test_dark_subtracted_visibility_undefined_at_or_below_dark(self, c0):
-        # a dark-subtracted offset <= 0 leaves the ratio undefined: NaN, not a raise
+        # a dark-subtracted offset within one c0_sigma of zero (or below it)
+        # leaves the ratio undefined: NaN, not a raise
         fit = CosineFit(c0=c0, c1=1e-6, c0_sigma=1e-7, c1_sigma=1e-7, c0c1_cov=0.0)
         assert math.isnan(fit.visibility_dark_subtracted(2.6e-5))
         assert math.isnan(fit.visibility_dark_subtracted_sigma(2.6e-5))
@@ -230,6 +231,16 @@ class TestScenarioDrivers:
         assert scan.fit["noise_slope_per_w"] == pytest.approx(
             bare_chain.converter.noise_coeff_beta, rel=0.2
         )
+
+    def test_fig4a_saturated_signal_run(self, bare_chain):
+        # every signal gate clicks, the background runs do not: only the
+        # efficiency needs the signal run, so only it is NaN
+        scan = run_fig4a(bare_chain, [0.0135, 0.027], mu=1e7, gates_per_point=1000, seed=3)
+        for name in ("efficiency", "eff_sigma"):
+            assert all(math.isnan(v) for v in scan.columns[name])
+        for name in ("noise_per_gate", "noise_sigma"):
+            assert all(math.isfinite(v) for v in scan.columns[name])
+        assert math.isfinite(scan.fit["noise_slope_per_w"])
 
     def test_fig4a_noise_linear_in_power(self, bare_chain):
         grid = [0.00675, 0.0135, 0.02025, 0.027]
@@ -298,6 +309,14 @@ class TestScenarioDrivers:
         assert math.isnan(scan.fit["visibility_sub"])
         assert math.isnan(scan.fit["visibility_sub_sigma"])
         assert math.isfinite(scan.fit["visibility"])
+
+    def test_fig5_offset_a_rounding_step_above_dark(self, chain):
+        # at this seed the fitted offset lands one rounding step above the
+        # dark count probability; the subtracted ratio is not resolved
+        scan = run_fig5(chain.at_pump_power(0.0), 0.0, gates_per_point=1_000_000, seed=0)
+        assert 0.0 < scan.fit["c0"] - chain.detector.dark_prob_per_gate < scan.fit["c0_sigma"]
+        assert math.isnan(scan.fit["visibility_sub"])
+        assert math.isnan(scan.fit["visibility_sub_sigma"])
 
     def test_fig5_rejects_zero_workers(self, chain):
         with pytest.raises(ValueError):
