@@ -165,13 +165,13 @@ def calibrated_chain(
     result: CalibrationResult,
     targets: CalibrationTargets | None = None,
     context: CalibrationContext | None = None,
-    with_interferometer: bool = True,
 ) -> ChainParams:
     """Assemble runnable chain parameters from a calibration result.
 
     The identifiable transmission product is carried entirely by
     ``post_converter_transmission``; the interferometer gets unit insertion
-    transmission.
+    transmission. :meth:`ChainParams.without_interferometer` gives the bare
+    chain of the count-rate scenarios.
     """
     targets = targets or CalibrationTargets()
     context = context or CalibrationContext()
@@ -183,19 +183,14 @@ def calibrated_chain(
         noise_coeff_beta=result.noise_coeff_beta,
         leak_fraction=context.leak_fraction,
     )
-    interferometer = (
-        InterferometerSpec(
-            phase_bias_theta=0.0,
-            insertion_transmission=1.0,
-            oob_suppression_db=context.oob_suppression_db,
-        )
-        if with_interferometer
-        else None
-    )
     return ChainParams(
         converter=converter,
         detector=context.detector,
-        interferometer=interferometer,
+        interferometer=InterferometerSpec(
+            phase_bias_theta=0.0,
+            insertion_transmission=1.0,
+            oob_suppression_db=context.oob_suppression_db,
+        ),
         post_converter_transmission=result.transmission_product,
         intrinsic_visibility_v0=result.intrinsic_visibility_v0,
     )
@@ -205,7 +200,7 @@ def _predict(
     result: CalibrationResult, targets: CalibrationTargets, context: CalibrationContext
 ) -> dict[str, float]:
     """Forward model: the six observables for a given parameter set."""
-    chain = calibrated_chain(result, targets, context, with_interferometer=True)
+    chain = calibrated_chain(result, targets, context)
     bare = chain.without_interferometer()
     high = analytic_visibility(targets.mu_high, chain)
     fringe = analytic_visibility(targets.mu_fringe, chain)

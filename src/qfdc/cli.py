@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .calibration import (
@@ -25,7 +25,6 @@ from .calibration import (
     calibrated_chain,
     residuals_within_tolerance,
 )
-from .detector import DetectorSpec
 from .experiment import (
     DEFAULT_GATES_PER_POINT,
     DEFAULT_N_PHI,
@@ -65,7 +64,8 @@ def _is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _number(section: dict, key: str, default, path: str, minimum=None, above=None):
+def _number(section: dict, key: str, default, path: str, minimum=None, above=None,
+            maximum=None):
     value = section.get(key, default)
     if not _is_finite_number(value):
         raise ConfigError(f"key {path}{key!r} must be a finite number")
@@ -73,21 +73,23 @@ def _number(section: dict, key: str, default, path: str, minimum=None, above=Non
         raise ConfigError(f"key {path}{key!r} must be >= {minimum}")
     if above is not None and value <= above:
         raise ConfigError(f"key {path}{key!r} must be > {above}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"key {path}{key!r} must be <= {maximum}")
     return value
 
 
-def _integer(section: dict, key: str, default, path: str, minimum=None) -> int:
-    value = _number(section, key, default, path, minimum)
+def _integer(section: dict, key: str, default, path: str, **bounds) -> int:
+    value = _number(section, key, default, path, **bounds)
     if not float(value).is_integer():
         raise ConfigError(f"key {path}{key!r} must be an integer, got {value!r}")
     return int(value)
 
 
-def _grid(section: dict, key: str, default, path: str, minimum=None) -> tuple[float, ...]:
+def _grid(section: dict, key: str, default, path: str, **bounds) -> tuple[float, ...]:
     values = section.get(key, default)
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"key {path}{key!r} must be a non-empty list of finite numbers")
-    return tuple(float(_number({key: v}, key, None, path, minimum)) for v in values)
+    return tuple(float(_number({key: v}, key, None, path, **bounds)) for v in values)
 
 
 def _boolean(section: dict, key: str, default, path: str) -> bool:
@@ -97,15 +99,51 @@ def _boolean(section: dict, key: str, default, path: str) -> bool:
     return value
 
 
-#: Parser per scenario field annotation; the field's metadata are its bounds.
+def _string(section: dict, key: str) -> str | None:
+    value = section.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"key {key!r} must be a string")
+    return value
+
+
+def _object(value, allowed, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"key {path!r} must be an object")
+    _check_keys(value, allowed, path + ".")
+    return value
+
+
+#: Parser per field annotation; the field's metadata are its bounds.
 _FIELD_PARSERS = {"float": _number, "int": _integer, "tuple[float, ...]": _grid, "bool": _boolean}
 _NON_NEGATIVE = {"minimum": 0.0}
-_GATES = {"minimum": 1}
-_N_PHI = {"minimum": 4}
+_GATES = {"minimum": 1, "maximum": 10**12}  # 1e12 gates: about 2 s of sampling per point
+_N_PHI = {"minimum": 4, "maximum": 1024}
+
+
+def _section(spec_type: type, raw, path: str):
+    """Read the config section ``path`` into the dataclass that declares it.
+
+    The dataclass's fields are the section's keys and their defaults the
+    defaults; a field whose default is itself a dataclass is a nested
+    section. A ``ValueError`` from the dataclass's own checks is a config error.
+    """
+    _object(raw, {f.name for f in fields(spec_type)}, path)
+    values = {}
+    for f in fields(spec_type):
+        if is_dataclass(f.default):
+            values[f.name] = _section(type(f.default), raw.get(f.name, {}), f"{path}.{f.name}")
+        else:
+            values[f.name] = _FIELD_PARSERS[f.type](raw, f.name, f.default, path + ".",
+                                                    **f.metadata)
+    try:
+        return spec_type(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {path}: {exc}") from exc
+
 
 # One frozen dataclass per scenario: its fields are the keys of the config
 # section ``scenarios.<name>``, their defaults the default settings.
-# ``interferometer`` picks the chain; ``run`` calls the driver by name.
+# ``run`` takes the full chain and calls the driver by name.
 
 
 @dataclass(frozen=True)
@@ -118,11 +156,9 @@ class Fig4a:
     mu: float = field(default=125.0, metadata={"above": 0.0})
     gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
 
-    interferometer = False
-
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
-        return run_fig4a(chain, [p * 1e-3 for p in self.power_mw], mu=self.mu,
-                         gates_per_point=self.gates_per_point, seed=seed)
+        return run_fig4a(chain.without_interferometer(), [p * 1e-3 for p in self.power_mw],
+                         mu=self.mu, gates_per_point=self.gates_per_point, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -134,10 +170,9 @@ class Fig4b:
     )
     gates_per_point: int = field(default=100_000_000, metadata=_GATES)
 
-    interferometer = False
-
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
-        return run_fig4b(chain, self.mu, gates_per_point=self.gates_per_point, seed=seed)
+        return run_fig4b(chain.without_interferometer(), self.mu,
+                         gates_per_point=self.gates_per_point, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -148,8 +183,6 @@ class Fig5:
     n_phi: int = field(default=DEFAULT_N_PHI, metadata=_N_PHI)
     gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
     control: bool = False
-
-    interferometer = True
 
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
         return run_fig5(chain, self.mu, default_phi_grid(self.n_phi),
@@ -167,22 +200,12 @@ class Fig6:
     n_phi: int = field(default=DEFAULT_N_PHI, metadata=_N_PHI)
     gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
 
-    interferometer = True
-
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
         return run_fig6(chain, self.mu, n_phi=self.n_phi,
                         gates_per_point=self.gates_per_point, seed=seed)
 
 
 SCENARIOS = {"fig4a": Fig4a, "fig4b": Fig4b, "fig5": Fig5, "fig6": Fig6}
-
-
-def _parse_scenario(spec_type: type, section: dict, path: str):
-    _check_keys(section, {f.name for f in fields(spec_type)}, path)
-    return spec_type(**{
-        f.name: _FIELD_PARSERS[f.type](section, f.name, f.default, path, **f.metadata)
-        for f in fields(spec_type)
-    })
 
 
 @dataclass
@@ -203,16 +226,18 @@ class ScenarioConfig:
 _TOP_KEYS = {
     "seed", "output_dir", "targets", "apparatus", "chain", "chain_from_report", "scenarios",
 }
-_TARGET_KEYS = {f.name for f in fields(CalibrationTargets)}
-_APPARATUS_KEYS = {
-    "eta_nor_per_w", "leak_fraction", "oob_suppression_db",
-    "signal_wavelength_nm", "pump_wavelength_nm", "detector",
-}
-_DETECTOR_KEYS = {"efficiency", "dark_prob_per_gate", "gate_rate_hz"}
-_CHAIN_KEYS = {
-    "system_transmission", "noise_coeff_beta",
-    "transmission_product", "intrinsic_visibility_v0",
-}
+_CHAIN_KEYS = (
+    "system_transmission", "noise_coeff_beta", "transmission_product", "intrinsic_visibility_v0",
+)
+
+
+def _chain_values(section, path: str) -> dict[str, float]:
+    """The four chain parameters of a ``chain`` section or a report's ``fitted`` block."""
+    _object(section, _CHAIN_KEYS, path)
+    missing = [k for k in _CHAIN_KEYS if k not in section]
+    if missing:
+        raise ConfigError(f"key {path!r} is missing {missing}")
+    return {k: _number(section, k, None, path + ".") for k in _CHAIN_KEYS}
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -226,76 +251,33 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "")
-
-    cfg = ScenarioConfig()
-    cfg.seed = _integer(raw, "seed", DEFAULT_SEED, "", minimum=0)
-
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("key 'output_dir' must be a string")
-    cfg.output_dir = output_dir
-
-    targets_raw = raw.get("targets", {})
-    if not isinstance(targets_raw, dict):
-        raise ConfigError("key 'targets' must be an object")
-    _check_keys(targets_raw, _TARGET_KEYS, "targets.")
-    try:
-        cfg.targets = replace(CalibrationTargets(), **targets_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid targets: {exc}") from exc
-
-    apparatus_raw = raw.get("apparatus", {})
-    if not isinstance(apparatus_raw, dict):
-        raise ConfigError("key 'apparatus' must be an object")
-    _check_keys(apparatus_raw, _APPARATUS_KEYS, "apparatus.")
-    detector_raw = apparatus_raw.get("detector", {})
-    if not isinstance(detector_raw, dict):
-        raise ConfigError("key 'apparatus.detector' must be an object")
-    _check_keys(detector_raw, _DETECTOR_KEYS, "apparatus.detector.")
-    try:
-        detector = replace(DetectorSpec(), **detector_raw)
-        context_kwargs = {k: _number(apparatus_raw, k, None, "apparatus.")
-                          for k in apparatus_raw if k != "detector"}
-        cfg.context = replace(CalibrationContext(), detector=detector, **context_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid apparatus: {exc}") from exc
-
-    chain_raw = raw.get("chain")
-    if chain_raw is not None:
-        if not isinstance(chain_raw, dict):
-            raise ConfigError("key 'chain' must be an object")
-        _check_keys(chain_raw, _CHAIN_KEYS, "chain.")
-        missing = _CHAIN_KEYS - set(chain_raw)
-        if missing:
-            raise ConfigError(f"key 'chain' is missing {sorted(missing)}")
-        cfg.chain_params = {k: _number(chain_raw, k, None, "chain.") for k in _CHAIN_KEYS}
-        _assemble_chain(cfg.chain_params, cfg, with_interferometer=True)  # bounds only
-
-    report_path = raw.get("chain_from_report")
-    if report_path is not None and not isinstance(report_path, str):
-        raise ConfigError("key 'chain_from_report' must be a string path")
-    cfg.chain_from_report = report_path
-
-    scenarios_raw = raw.get("scenarios", {})
-    if not isinstance(scenarios_raw, dict):
-        raise ConfigError("key 'scenarios' must be an object")
-    _check_keys(scenarios_raw, SCENARIOS, "scenarios.")
-    for name, section in scenarios_raw.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"key 'scenarios.{name}' must be an object")
-        cfg.scenarios[name] = _parse_scenario(SCENARIOS[name], section, f"scenarios.{name}.")
+    scenarios = _object(raw.get("scenarios", {}), SCENARIOS, "scenarios")
+    cfg = ScenarioConfig(
+        seed=_integer(raw, "seed", DEFAULT_SEED, "", minimum=0),
+        output_dir=_string(raw, "output_dir"),
+        targets=_section(CalibrationTargets, raw.get("targets", {}), "targets"),
+        context=_section(CalibrationContext, raw.get("apparatus", {}), "apparatus"),
+        chain_from_report=_string(raw, "chain_from_report"),
+        scenarios={name: _section(spec, scenarios.get(name, {}), f"scenarios.{name}")
+                   for name, spec in SCENARIOS.items()},
+    )
+    if "chain" in raw:
+        cfg.chain_params = _chain_values(raw["chain"], "chain")
+        _assemble_chain(cfg.chain_params, cfg)  # bounds only
     return cfg
 
 
-def _chain_from_config(cfg: ScenarioConfig, with_interferometer: bool) -> ChainParams:
+def _chain_from_config(cfg: ScenarioConfig) -> ChainParams:
     """Resolve the four chain parameters: explicit > report file > calibration."""
     if cfg.chain_params is not None:
         fitted = cfg.chain_params
     elif cfg.chain_from_report is not None:
         try:
             report = json.loads(Path(cfg.chain_from_report).read_text())
-            fitted = {k: float(report["fitted"][k]) for k in _CHAIN_KEYS}
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            fitted = _chain_values(
+                report.get("fitted") if isinstance(report, dict) else None, "fitted"
+            )
+        except (OSError, json.JSONDecodeError, ConfigError) as exc:
             raise ConfigError(
                 f"cannot load chain parameters from report {cfg.chain_from_report!r}: {exc}"
             ) from exc
@@ -306,17 +288,13 @@ def _chain_from_config(cfg: ScenarioConfig, with_interferometer: bool) -> ChainP
                 f"calibration from the configured targets is infeasible: {result.message}"
             )
         fitted = result.fitted()
-    return _assemble_chain(fitted, cfg, with_interferometer)
+    return _assemble_chain(fitted, cfg)
 
 
-def _assemble_chain(
-    fitted: dict[str, float], cfg: ScenarioConfig, with_interferometer: bool
-) -> ChainParams:
+def _assemble_chain(fitted: dict[str, float], cfg: ScenarioConfig) -> ChainParams:
     """The runnable chain for four chain parameters; out-of-range values exit 1."""
     try:
-        return calibrated_chain(
-            CalibrationResult(**fitted), cfg.targets, cfg.context, with_interferometer
-        )
+        return calibrated_chain(CalibrationResult(**fitted), cfg.targets, cfg.context)
     except ValueError as exc:
         raise ConfigError(f"invalid chain parameters: {exc}") from exc
 
@@ -345,7 +323,7 @@ def run_scenario(
         if not hasattr(spec, "control"):
             raise ConfigError(f"--no-interferometer has no meaning for {scenario}")
         spec = replace(spec, control=True)
-    chain = _chain_from_config(cfg, with_interferometer=spec.interferometer)
+    chain = _chain_from_config(cfg)
     try:
         return spec.run(chain, seed)
     except ValueError as exc:  # a driver rejecting settings it cannot run

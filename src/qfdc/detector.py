@@ -107,13 +107,11 @@ def sample_gates(
     spec: DetectorSpec,
     n_gates: int,
     seed: int,
-    workers: int = 1,
 ) -> CountSummary:
     """Sample independent gates and aggregate the clicks.
 
     Deterministic for a fixed ``(seed, n_gates)``; the block decomposition
-    defines the draws. ``workers`` is accepted for compatibility and has no
-    effect (it must still be >= 1): the blocks are always summed serially.
+    defines the draws.
     """
     n_gates = int(n_gates)
     if n_gates < 1:
@@ -121,8 +119,6 @@ def sample_gates(
     seed = int(seed)
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     p = click_probability(mean_photons_at_detector, spec)
 
     key = np.array([seed, 0], dtype=np.uint64)

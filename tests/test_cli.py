@@ -3,13 +3,14 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfdc.calibration import CalibrationContext, CalibrationTargets
 from qfdc.cli import CSV_SCHEMAS, SCENARIOS, ConfigError, load_config, main, run_scenario
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -102,6 +103,28 @@ _BAD_APPARATUS = [
 ]
 _COMMANDS = [["validate"], ["calibrate"], ["run", "fig5"]]
 
+_SHIPPED_FITTED = json.loads(REPO_CONFIG.read_text())["chain"]
+
+
+def _report(fitted):
+    """Config override: take the chain from a report whose ``fitted`` block
+    is ``fitted``, written next to the config."""
+    def apply(config: dict) -> None:
+        path = Path(config["output_dir"]).parent / "report.json"
+        path.write_text(json.dumps({"fitted": fitted}))
+        del config["chain"]
+        config["chain_from_report"] = str(path)
+    return apply
+
+
+_BAD_FITTED = {
+    "string": {**_SHIPPED_FITTED, "system_transmission": "0.066"},
+    "boolean": {**_SHIPPED_FITTED, "noise_coeff_beta": True},
+    "unknown-key": {**_SHIPPED_FITTED, "system_transmision": 0.066},
+    "missing-key": {k: v for k, v in _SHIPPED_FITTED.items() if k != "transmission_product"},
+    "non-object": [0.066, 0.094, 0.179, 0.947],
+}
+
 
 class TestNumbersExitOne:
     @pytest.mark.parametrize(
@@ -114,6 +137,12 @@ class TestNumbersExitOne:
             (_set("scenarios.fig6.mu", [0.7, -math.inf]), ["validate"]),
             (_set("scenarios.fig5.n_phi", 8.5), ["validate"]),
             (_set("scenarios.fig4b.gates_per_point", 1_000_000.5), ["validate"]),
+            (_set("scenarios.fig4a.gates_per_point", 10**12 + 1), ["validate"]),
+            (_set("scenarios.fig6.n_phi", 1025), ["validate"]),
+            (_set("targets.pump_power_w", True), ["validate"]),
+            (_set("targets.mu_fringe", "0.7"), ["validate"]),
+            (_set("apparatus.detector.efficiency", True), ["validate"]),
+            (_set("apparatus.detector.gate_rate_hz", "4e6"), ["validate"]),
             (_set("chain.noise_coeff_beta", math.nan), ["validate"]),
             (_set("chain.system_transmission", 1.5), ["validate"]),
             (_set("apparatus.eta_nor_per_w", math.nan), ["validate"]),
@@ -122,14 +151,17 @@ class TestNumbersExitOne:
             # no background passes the interferometer: the noise scale underflows
             (_apparatus({"leak_fraction": 1.0, "oob_suppression_db": 4000.0}), ["run", "fig5"]),
         ] + [
+            (_report(fitted), ["run", "fig5"]) for fitted in _BAD_FITTED.values()
+        ] + [
             (_apparatus(values), argv) for values in _BAD_APPARATUS for argv in _COMMANDS
         ],
         ids=[
             "seed-nan", "seed-inf", "seed-fractional", "mu-nan", "grid-inf",
-            "n_phi-fractional", "gates-fractional", "chain-nan", "chain-out-of-range",
-            "apparatus-nan",
+            "n_phi-fractional", "gates-fractional", "gates-above-1e12", "n_phi-above-1024",
+            "targets-boolean", "targets-string", "detector-boolean", "detector-string",
+            "chain-nan", "chain-out-of-range", "apparatus-nan",
             "cli-seed-negative", "no-light-fig4a", "noise-scale-underflow",
-        ] + [
+        ] + [f"report-fitted-{name}" for name in _BAD_FITTED] + [
             f"{key}={value}-{argv[0]}"
             for values in _BAD_APPARATUS for key, value in values.items() for argv in _COMMANDS
         ],
@@ -365,41 +397,6 @@ _ANY = st.one_of(
     st.sampled_from(["0.7", None, True, False, {}, []]),
 )
 
-#: Per scenario field annotation: values of the field's type (half the
-#: time) or anything at all, invalid numbers and wrong types included.
-_FIELD_VALUES = {
-    "float": st.floats(min_value=0.0, max_value=200.0),
-    "int": st.integers(min_value=1, max_value=1000),
-    "bool": st.booleans(),
-    "tuple[float, ...]": st.lists(
-        st.one_of(st.floats(min_value=0.0, max_value=200.0), _ANY), min_size=1, max_size=3
-    ),
-}
-
-
-def _section(spec_type):
-    optional = {f.name: st.one_of(_FIELD_VALUES[f.type], _ANY) for f in fields(spec_type)}
-    optional["unknown_key"] = st.just(1)
-    return st.fixed_dictionaries({}, optional=optional)
-
-
-def _apparatus_value(*plausible):
-    return st.one_of(st.sampled_from(plausible), _ANY)
-
-
-_APPARATUS = st.fixed_dictionaries({}, optional={
-    "eta_nor_per_w": _apparatus_value(0.0, 2.0, 50.0),
-    "leak_fraction": _apparatus_value(0.0, 0.8, 1.0),
-    "oob_suppression_db": _apparatus_value(0.0, 12.0, 100.0),
-    "signal_wavelength_nm": _apparatus_value(712.9, 500.0, 1000.0, 1551.1, 2000.0),
-    "pump_wavelength_nm": _apparatus_value(1551.1, 1064.0, 712.9),
-    "detector": st.fixed_dictionaries({}, optional={
-        "efficiency": _apparatus_value(0.05, 1.0),
-        "dark_prob_per_gate": _apparatus_value(0.0, 2.6e-5, 0.5),
-        "gate_rate_hz": _apparatus_value(1e3, 4e6),
-    }),
-})
-
 #: The shipped config at 1000 gates per point; generated values go on top.
 _SMALL_CONFIG = json.loads(REPO_CONFIG.read_text())
 del _SMALL_CONFIG["output_dir"]
@@ -411,26 +408,70 @@ _SMALL_CONFIG["scenarios"] = {
 }
 
 
+def _near(default: float):
+    """Numbers between 0 and twice a default, or anything at all."""
+    return st.one_of(st.floats(min_value=0.0, max_value=2.0 * default), _ANY)
+
+
+def _value(f):
+    """Values for a declared config field: of its type or anything at all;
+    a field whose default is a dataclass is a nested section."""
+    if is_dataclass(f.default):
+        return _section(type(f.default))
+    if f.type == "float":
+        return _near(f.default)
+    typed = {
+        "int": st.integers(min_value=1, max_value=1000),
+        "bool": st.booleans(),
+        "tuple[float, ...]": st.lists(
+            st.one_of(st.floats(min_value=0.0, max_value=200.0), _ANY), min_size=1, max_size=3
+        ),
+    }[f.type]
+    return st.one_of(typed, _ANY)
+
+
+def _section(spec_type):
+    optional = {f.name: _value(f) for f in fields(spec_type)}
+    optional["unknown_key"] = st.just(1)
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+#: A ``chain`` section or a report's ``fitted`` block: all four keys, near
+#: the shipped values, sometimes with an unknown key.
+_CHAIN = st.fixed_dictionaries(
+    {key: _near(value) for key, value in _SMALL_CONFIG["chain"].items()},
+    optional={"unknown_key": st.just(1)},
+)
+
+
 class TestGeneratedConfigs:
     @settings(max_examples=150, deadline=None)
     @given(
         section=st.sampled_from(sorted(SCENARIOS)).flatmap(
             lambda name: st.tuples(st.just(name), _section(SCENARIOS[name]))
         ),
-        apparatus=st.one_of(st.just({}), _APPARATUS),
-        keep_chain=st.booleans(),
+        targets=st.one_of(st.just({}), _section(CalibrationTargets)),
+        apparatus=st.one_of(st.just({}), _section(CalibrationContext)),
+        chain=st.one_of(st.just(_SMALL_CONFIG["chain"]), _CHAIN),
+        source=st.sampled_from(["chain", "chain_from_report", "calibration"]),
     )
-    def test_exit_code_without_traceback(self, section, apparatus, keep_chain):
+    def test_exit_code_without_traceback(self, section, targets, apparatus, chain, source):
         scenario, values = section
         config = json.loads(json.dumps(_SMALL_CONFIG))
         config["scenarios"][scenario].update(values)
+        config["targets"].update(targets)
         config["apparatus"].update(apparatus)
-        if not keep_chain:
-            del config["chain"]
         with tempfile.TemporaryDirectory() as tmp:
+            config["chain"] = chain
+            if source != "chain":
+                del config["chain"]
+            if source == "chain_from_report":
+                config["chain_from_report"] = str(Path(tmp) / "report.json")
+                Path(config["chain_from_report"]).write_text(json.dumps({"fitted": chain}))
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(config))
             for argv in (["validate", str(path)],
+                         ["calibrate", str(path), "--out", str(Path(tmp) / "calibration.json")],
                          ["run", scenario, str(path), "--out", str(Path(tmp) / "out.csv")]):
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
