@@ -12,8 +12,9 @@ The system decouples and solves in closed form:
   transmission, and B_n into the pump-noise coefficient.
 
 Only the product of the two transmissions is identifiable from these
-observables, so the calibrated chain carries the whole product as
-``post_converter_transmission`` and a unit-insertion interferometer.
+observables, and the chain carries exactly that product, as
+``post_converter_transmission``; the interferometer has no insertion
+transmission of its own.
 With the noise coefficient pinned by the fringe data, the two count-rate
 floors are predictions rather than fit targets; their residuals come out
 a few percent high, well inside the precision to which they are quoted.
@@ -26,8 +27,14 @@ from dataclasses import dataclass, field, fields
 
 from .detector import DetectorSpec
 from .experiment import ChainParams, analytic_visibility, expected_rate
-from .interferometer import InterferometerSpec
-from .mixer import ConverterSpec, ThreeWaveProcess, conversion_efficiency, derive_process
+from .interferometer import InterferometerSpec, suppress_background
+from .mixer import (
+    ConverterSpec,
+    NoiseBackground,
+    ThreeWaveProcess,
+    conversion_efficiency,
+    derive_process,
+)
 from .optics import mode_from_wavelength
 
 SIGNAL_WAVELENGTH_NM = 712.9
@@ -113,14 +120,15 @@ class CalibrationContext:
 
     @property
     def noise_suppression_factor(self) -> float:
-        """Interferometer passband factor on the converter noise (unit insertion)."""
-        return (
-            self.leak_fraction * 10.0 ** (-self.oob_suppression_db / 10.0)
-            + (1.0 - self.leak_fraction) / 2.0
-        )
+        """Interferometer passband factor on the converter noise."""
+        unit = NoiseBackground(self.leak_fraction, 1.0 - self.leak_fraction)
+        spec = InterferometerSpec(oob_suppression_db=self.oob_suppression_db)
+        return suppress_background(unit, spec).total_photons_per_gate
 
 
-DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
+#: Physical range of each fitted parameter; a solution outside it is clipped
+#: and marks the result infeasible.
+BOUNDS: dict[str, tuple[float, float]] = {
     "system_transmission": (0.0, 1.0),
     "noise_coeff_beta": (0.0, math.inf),
     "transmission_product": (0.0, 1.0),
@@ -168,10 +176,10 @@ def calibrated_chain(
 ) -> ChainParams:
     """Assemble runnable chain parameters from a calibration result.
 
-    The identifiable transmission product is carried entirely by
-    ``post_converter_transmission``; the interferometer gets unit insertion
-    transmission. :meth:`ChainParams.without_interferometer` gives the bare
-    chain of the count-rate scenarios.
+    The identifiable transmission product becomes
+    ``post_converter_transmission``.
+    :meth:`ChainParams.without_interferometer` gives the bare chain of the
+    count-rate scenarios.
     """
     targets = targets or CalibrationTargets()
     context = context or CalibrationContext()
@@ -186,11 +194,7 @@ def calibrated_chain(
     return ChainParams(
         converter=converter,
         detector=context.detector,
-        interferometer=InterferometerSpec(
-            phase_bias_theta=0.0,
-            insertion_transmission=1.0,
-            oob_suppression_db=context.oob_suppression_db,
-        ),
+        interferometer=InterferometerSpec(oob_suppression_db=context.oob_suppression_db),
         post_converter_transmission=result.transmission_product,
         intrinsic_visibility_v0=result.intrinsic_visibility_v0,
     )
@@ -221,7 +225,6 @@ def _clip(value: float, lo: float, hi: float) -> float:
 def calibrate(
     targets: CalibrationTargets | None = None,
     context: CalibrationContext | None = None,
-    bounds: dict[str, tuple[float, float]] | None = None,
 ) -> CalibrationResult:
     """Solve the chain parameters from the six observables.
 
@@ -231,12 +234,6 @@ def calibrate(
     """
     targets = targets or CalibrationTargets()
     context = context or CalibrationContext()
-    all_bounds = dict(DEFAULT_BOUNDS)
-    if bounds:
-        unknown = set(bounds) - set(DEFAULT_BOUNDS)
-        if unknown:
-            raise ValueError(f"unknown bound name(s): {sorted(unknown)}")
-        all_bounds.update(bounds)
 
     det = context.detector
     dark = det.dark_prob_per_gate
@@ -296,7 +293,7 @@ def calibrate(
         "intrinsic_visibility_v0": v0,
     }
     for name, value in fitted.items():
-        lo, hi = all_bounds[name]
+        lo, hi = BOUNDS[name]
         if math.isnan(value):
             fitted[name] = lo
             if not problems:  # only a scale factor that underflows to zero gets here

@@ -51,28 +51,27 @@ class CountSummary:
 
     gates: int
     clicks: int
-    p_click: float
-    sigma_p: float
     gate_rate_hz: float
-    rate_per_s: float
 
     def __post_init__(self) -> None:
-        if self.gates < 0 or self.clicks < 0 or self.clicks > self.gates:
-            raise ValueError(f"need 0 <= clicks <= gates, got {self.clicks}/{self.gates}")
-        if not 0.0 <= self.p_click <= 1.0:
-            raise ValueError(f"p_click must be in [0, 1], got {self.p_click}")
-        if self.sigma_p < 0.0:
-            raise ValueError(f"sigma_p must be >= 0, got {self.sigma_p}")
-        expected = self.p_click * self.gate_rate_hz
-        if abs(self.rate_per_s - expected) > 1e-12 * max(expected, 1.0):
-            raise ValueError("rate_per_s must equal p_click * gate_rate_hz")
+        if self.gates < 1 or self.clicks < 0 or self.clicks > self.gates:
+            raise ValueError(
+                f"need 0 <= clicks <= gates and gates >= 1, got {self.clicks}/{self.gates}"
+            )
 
-    @classmethod
-    def from_clicks(cls, gates: int, clicks: int, gate_rate_hz: float) -> "CountSummary":
-        p = clicks / gates
-        sigma = math.sqrt(p * (1.0 - p) / gates)
-        return cls(gates=gates, clicks=clicks, p_click=p, sigma_p=sigma,
-                   gate_rate_hz=gate_rate_hz, rate_per_s=p * gate_rate_hz)
+    @property
+    def p_click(self) -> float:
+        return self.clicks / self.gates
+
+    @property
+    def sigma_p(self) -> float:
+        """Binomial standard error of ``p_click``."""
+        p = self.p_click
+        return math.sqrt(p * (1.0 - p) / self.gates)
+
+    @property
+    def rate_per_s(self) -> float:
+        return self.p_click * self.gate_rate_hz
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,11 @@ class CorrectedRate:
     """Background-subtracted click probability with propagated uncertainty.
 
     ``p`` may come out negative when the background fluctuates above the
-    signal run; it is reported as-is and flagged.
+    signal run; it is reported as-is.
     """
 
     p: float
     sigma: float
-    rate_per_s: float
-
-    @property
-    def is_negative(self) -> bool:
-        return self.p < 0.0
 
 
 def click_probability(mean_photons_at_detector: float, spec: DetectorSpec) -> float:
@@ -141,7 +135,7 @@ def sample_gates(
         key[1] = i
         bit_generator.state = state
         clicks += int(rng.binomial(min(BLOCK_GATES, n_gates - i * BLOCK_GATES), p))
-    return CountSummary.from_clicks(n_gates, clicks, spec.gate_rate_hz)
+    return CountSummary(n_gates, clicks, spec.gate_rate_hz)
 
 
 def dark_subtract(signal: CountSummary, background: CountSummary) -> CorrectedRate:
@@ -150,7 +144,7 @@ def dark_subtract(signal: CountSummary, background: CountSummary) -> CorrectedRa
         raise ValueError("signal and background summaries must share a gate rate")
     p = signal.p_click - background.p_click
     sigma = math.hypot(signal.sigma_p, background.sigma_p)
-    return CorrectedRate(p=p, sigma=sigma, rate_per_s=p * signal.gate_rate_hz)
+    return CorrectedRate(p=p, sigma=sigma)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

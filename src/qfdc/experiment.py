@@ -41,11 +41,12 @@ DEFAULT_N_PHI = 16
 class ChainParams:
     """Everything between the source and the click record.
 
-    ``post_converter_transmission`` covers the waveguide-output-to-
-    interferometer-input optics (collection lenses, fiber coupling, the
-    pump-rejection couplers). ``intrinsic_visibility_v0`` is the
-    background-free fringe contrast ceiling, lumping source coherence,
-    modulator fidelity and interferometer imbalance.
+    ``post_converter_transmission`` is the broadband transmission from the
+    waveguide output to the detector (collection lenses, fiber coupling, the
+    pump-rejection couplers and the interferometer's insertion loss).
+    ``intrinsic_visibility_v0`` is the background-free fringe contrast
+    ceiling, lumping source coherence, modulator fidelity and interferometer
+    imbalance.
     """
 
     converter: ConverterSpec
@@ -111,7 +112,7 @@ def expected_rate(mu: float, phi: float | None, params: ChainParams) -> Expected
     if params.interferometer is not None:
         cos_phi = 0.0 if phi is None else math.cos(phi)
         fringe = (1.0 + _fringe_contrast(params) * cos_phi) / 2.0
-        signal *= params.interferometer.insertion_transmission * fringe
+        signal *= fringe
         noise = suppress_background(noise, params.interferometer)
     total = signal + noise.total_photons_per_gate
     return ExpectedRate(
@@ -143,13 +144,7 @@ def analytic_visibility(mu: float, params: ChainParams) -> VisibilityPair:
         raise ValueError(f"mu must be >= 0, got {mu}")
     det = params.detector
     eta = conversion_efficiency(params.converter)
-    s_clicks = (
-        det.efficiency
-        * mu
-        * eta
-        * params.post_converter_transmission
-        * params.interferometer.insertion_transmission
-    )
+    s_clicks = det.efficiency * mu * eta * params.post_converter_transmission
     noise = suppress_background(
         noise_background(params.converter).scaled(params.post_converter_transmission),
         params.interferometer,

@@ -21,33 +21,24 @@ _TWO_PI_C = 2.0 * math.pi * SPEED_OF_LIGHT_M_PER_S
 
 @dataclass(frozen=True)
 class OpticalMode:
-    """A wavelength channel with its angular frequency in rad/s."""
+    """A wavelength channel, fixed by its vacuum wavelength in nm."""
 
     wavelength_nm: float
-    angular_frequency: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.wavelength_nm) and self.wavelength_nm > 0.0):
+        # checked in metres: a subnormal wavelength in nm underflows to 0 m
+        if not (math.isfinite(self.wavelength_nm) and self.wavelength_nm * 1e-9 > 0.0):
             raise ValueError(f"wavelength_nm must be finite and > 0, got {self.wavelength_nm}")
-        if not (math.isfinite(self.angular_frequency) and self.angular_frequency > 0.0):
-            raise ValueError(
-                f"angular_frequency must be finite and > 0, got {self.angular_frequency}"
-            )
-        product = self.angular_frequency * self.wavelength_nm * 1e-9
-        if abs(product - _TWO_PI_C) > 1e-9 * _TWO_PI_C:
-            raise ValueError(
-                "wavelength_nm and angular_frequency are inconsistent: "
-                f"omega*lambda = {product!r}, expected 2*pi*c = {_TWO_PI_C!r}"
-            )
+
+    @property
+    def angular_frequency(self) -> float:
+        """Angular frequency in rad/s, 2*pi*c / wavelength."""
+        return _TWO_PI_C / (self.wavelength_nm * 1e-9)
 
 
 def mode_from_wavelength(wavelength_nm: float) -> OpticalMode:
     """Build an :class:`OpticalMode` from a vacuum wavelength in nm."""
-    wavelength_nm = float(wavelength_nm)
-    # checked in metres: a subnormal wavelength in nm underflows to 0 m
-    if not (math.isfinite(wavelength_nm) and wavelength_nm * 1e-9 > 0.0):
-        raise ValueError(f"wavelength_nm must be finite and > 0, got {wavelength_nm}")
-    return OpticalMode(wavelength_nm, _TWO_PI_C / (wavelength_nm * 1e-9))
+    return OpticalMode(float(wavelength_nm))
 
 
 def mode_from_angular_frequency(angular_frequency: float) -> OpticalMode:
@@ -57,7 +48,7 @@ def mode_from_angular_frequency(angular_frequency: float) -> OpticalMode:
         raise ValueError(
             f"angular_frequency must be finite and > 0, got {angular_frequency}"
         )
-    return OpticalMode(_TWO_PI_C / angular_frequency * 1e9, angular_frequency)
+    return OpticalMode(_TWO_PI_C / angular_frequency * 1e9)
 
 
 @dataclass(frozen=True)
@@ -120,15 +111,12 @@ class PhasePattern:
 class CoherentPulseTrain:
     """A clocked train of coherent pulses on one wavelength channel.
 
-    ``amplitudes[k]`` is the complex coherent amplitude of slot k;
-    ``clock_period_ns`` and ``pulse_width_ps`` are carried as metadata only
-    (a slot is treated as a point event with a mean photon number).
+    ``amplitudes[k]`` is the complex coherent amplitude of slot k; a slot is
+    treated as a point event with a mean photon number.
     """
 
     mode: OpticalMode
     amplitudes: np.ndarray
-    clock_period_ns: float = 1.0
-    pulse_width_ps: float = 100.0
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
@@ -136,10 +124,6 @@ class CoherentPulseTrain:
             raise ValueError("amplitudes must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(amps.real) & np.isfinite(amps.imag)):
             raise ValueError("amplitudes must all be finite")
-        if not (math.isfinite(self.clock_period_ns) and self.clock_period_ns > 0.0):
-            raise ValueError(f"clock_period_ns must be > 0, got {self.clock_period_ns}")
-        if not (math.isfinite(self.pulse_width_ps) and self.pulse_width_ps > 0.0):
-            raise ValueError(f"pulse_width_ps must be > 0, got {self.pulse_width_ps}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -157,13 +141,8 @@ class CoherentPulseTrain:
         return float(np.mean(self.slot_photon_numbers()))
 
     def with_amplitudes(self, amplitudes: np.ndarray, mode: OpticalMode | None = None) -> "CoherentPulseTrain":
-        """New train with replaced amplitudes (and optionally mode), same clock."""
-        return CoherentPulseTrain(
-            mode=self.mode if mode is None else mode,
-            amplitudes=amplitudes,
-            clock_period_ns=self.clock_period_ns,
-            pulse_width_ps=self.pulse_width_ps,
-        )
+        """New train with replaced amplitudes (and optionally mode)."""
+        return CoherentPulseTrain(self.mode if mode is None else mode, amplitudes)
 
 
 def coherent_train(
@@ -171,8 +150,6 @@ def coherent_train(
     n_slots: int,
     mu: float,
     pattern: PhasePattern | None = None,
-    clock_period_ns: float = 1.0,
-    pulse_width_ps: float = 100.0,
 ) -> CoherentPulseTrain:
     """Phase-modulated attenuated coherent pulse train with |alpha_k|^2 = mu.
 
@@ -187,12 +164,7 @@ def coherent_train(
     if pattern is None:
         pattern = PhasePattern.uniform(0.0)
     amps = math.sqrt(mu) * np.exp(1j * pattern.phases(n_slots))
-    return CoherentPulseTrain(
-        mode=mode,
-        amplitudes=amps,
-        clock_period_ns=clock_period_ns,
-        pulse_width_ps=pulse_width_ps,
-    )
+    return CoherentPulseTrain(mode, amps)
 
 
 def attenuate(train: CoherentPulseTrain, loss_db: float) -> CoherentPulseTrain:

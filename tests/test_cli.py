@@ -313,6 +313,7 @@ class TestRunCommand:
         raw["scenarios"][scenario]["gates_per_point"] = 10
         config.write_text(json.dumps(raw))
         assert main(["run", scenario, str(config), "--out", str(tmp_path / "out.csv")]) == 0
+        _assert_nan_policy(scenario, (tmp_path / "out.csv").read_text())
         fit = {}
         for line in capsys.readouterr().out.splitlines()[1:]:
             name, value = line.split(":")
@@ -334,6 +335,7 @@ class TestRunCommand:
         assert len(rows) == 2
         for row in rows:
             assert all(math.isnan(float(v)) for v in row[3:])
+        _assert_nan_policy("fig4a", out.read_text())
 
     def test_missing_report_exit_1(self, tmp_path, capsys):
         config = _fast_config(tmp_path)
@@ -444,6 +446,26 @@ _CHAIN = st.fixed_dictionaries(
 )
 
 
+#: The CSV columns where the README's degenerate-fit policy allows ``nan``:
+#: fig6's visibilities and their sigmas, fig4a's four estimators and fig4b's
+#: fit line (a through-origin fit without a nonzero abscissa).
+_NAN_COLUMNS = {
+    "fig4a": {"efficiency", "eff_sigma", "noise_per_gate", "noise_sigma"},
+    "fig4b": {"fit_line"},
+    "fig5": set(),
+    "fig6": {"v_raw", "sigma", "v_sub"},
+}
+
+
+def _assert_nan_policy(scenario: str, csv_text: str) -> None:
+    header, *rows = [line.split(",") for line in csv_text.splitlines()]
+    assert header == CSV_SCHEMAS[scenario]
+    for row in rows:
+        for name, cell in zip(header, row):
+            if math.isnan(float(cell)):
+                assert name in _NAN_COLUMNS[scenario], (scenario, name, row)
+
+
 class TestGeneratedConfigs:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -478,3 +500,5 @@ class TestGeneratedConfigs:
                     code = main(argv)
                 assert code in (0, 1, 2), argv
                 assert "Traceback" not in err.getvalue()
+            if code == 0:  # the run, the last command, wrote its CSV
+                _assert_nan_policy(scenario, (Path(tmp) / "out.csv").read_text())

@@ -19,11 +19,11 @@ CONVERTED = mode_from_wavelength(1319.1)
 
 class TestTransmitTrain:
     def test_uniform_constructive(self):
-        spec = InterferometerSpec(insertion_transmission=0.8)
+        spec = InterferometerSpec()
         train = coherent_train(CONVERTED, 16, 0.5, PhasePattern.uniform(0.0))
         out = transmit_train(train, spec)
-        assert out[1:] == pytest.approx([0.8 * 0.5] * 15, rel=1e-12)
-        assert out[0] == pytest.approx(0.8 * 0.5 / 4, rel=1e-12)
+        assert out[1:] == pytest.approx([0.5] * 15, rel=1e-12)
+        assert out[0] == pytest.approx(0.5 / 4, rel=1e-12)
 
     def test_uniform_destructive(self):
         spec = InterferometerSpec(phase_bias_theta=math.pi)
@@ -76,7 +76,7 @@ class TestTransmitTrain:
     )
     @settings(max_examples=200)
     def test_two_port_energy_conservation(self, mu, phi, theta, n):
-        spec = InterferometerSpec(phase_bias_theta=theta, insertion_transmission=1.0)
+        spec = InterferometerSpec(phase_bias_theta=theta)
         train = coherent_train(CONVERTED, n, mu, PhasePattern.alternating(phi))
         p0 = transmit_train(train, spec, port=0)
         p1 = transmit_train(train, spec, port=1)
@@ -95,26 +95,13 @@ class TestSuppressBackground:
 
     def test_port_splitting_only(self):
         bg = NoiseBackground(0.4, 0.6)
-        out = suppress_background(
-            bg, InterferometerSpec(insertion_transmission=1.0, oob_suppression_db=0.0)
-        )
+        out = suppress_background(bg, InterferometerSpec(oob_suppression_db=0.0))
         assert out.leak_photons_per_gate == pytest.approx(0.4, rel=1e-12)
         assert out.raman_photons_per_gate == pytest.approx(0.3, rel=1e-12)
 
-    def test_insertion_applies_to_both(self):
-        bg = NoiseBackground(1.0, 1.0)
-        out = suppress_background(
-            bg, InterferometerSpec(insertion_transmission=0.5, oob_suppression_db=10.0)
-        )
-        assert out.leak_photons_per_gate == pytest.approx(0.05, rel=1e-12)
-        assert out.raman_photons_per_gate == pytest.approx(0.25, rel=1e-12)
 
 
 class TestSpecValidation:
-    def test_rejects_bad_transmission(self):
-        with pytest.raises(ValueError):
-            InterferometerSpec(insertion_transmission=1.2)
-
     def test_rejects_negative_suppression(self):
         with pytest.raises(ValueError):
             InterferometerSpec(oob_suppression_db=-1.0)
