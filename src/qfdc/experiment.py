@@ -20,8 +20,10 @@ from .detector import (
     DetectorSpec,
     click_probability,
     dark_subtract,
-    derive_seed,
+    derive_seed,  # the per-point definition of derive_seeds; bench/tracer.py patches it here
+    derive_seeds,
     sample_gates,
+    sample_scan,
 )
 from .interferometer import (
     InterferometerSpec,
@@ -83,15 +85,37 @@ class ExpectedRate:
     click_probability: float
 
 
-def _fringe_contrast(params: ChainParams) -> float:
-    """Effective fringe contrast: V0 reduced by a nonzero arm phase bias.
+class _ClosedForm:
+    """The per-chain factors of :func:`expected_rate`; :meth:`rate` does the
+    per-point arithmetic, so a scan evaluates the chain once."""
 
-    With the alternating 0/phi pattern, consecutive slots interfere at
-    phase differences -phi and +phi; a bias theta turns the slot-averaged
-    fringe into (1 + V0*cos(theta)*cos(phi))/2.
-    """
-    assert params.interferometer is not None
-    return params.intrinsic_visibility_v0 * math.cos(params.interferometer.phase_bias_theta)
+    def __init__(self, params: ChainParams) -> None:
+        self.eta = conversion_efficiency(params.converter)
+        self.t_post = params.post_converter_transmission
+        self.detector = params.detector
+        noise = noise_background(params.converter).scaled(self.t_post)
+        # fringe contrast, None without an interferometer: slots interfere at
+        # phase differences -phi and +phi, so an arm bias theta gives the
+        # fringe (1 + V0*cos(theta)*cos(phi))/2
+        self.contrast = None
+        if params.interferometer is not None:
+            noise = suppress_background(noise, params.interferometer)
+            self.contrast = params.intrinsic_visibility_v0 * math.cos(
+                params.interferometer.phase_bias_theta)
+        self.noise = noise.total_photons_per_gate  # background photons per gate
+
+    def rate(self, mu: float, phi: float | None) -> ExpectedRate:
+        if mu < 0.0:
+            raise ValueError(f"mu must be >= 0, got {mu}")
+        if phi is not None and self.contrast is None:
+            raise ValueError("phi was given but the chain has no interferometer")
+        signal = mu * self.eta * self.t_post
+        if self.contrast is not None:
+            cos_phi = 0.0 if phi is None else math.cos(phi)
+            fringe = (1.0 + self.contrast * cos_phi) / 2.0
+            signal *= fringe
+        total = signal + self.noise
+        return ExpectedRate(signal, self.noise, total, click_probability(total, self.detector))
 
 
 def expected_rate(mu: float, phi: float | None, params: ChainParams) -> ExpectedRate:
@@ -102,25 +126,7 @@ def expected_rate(mu: float, phi: float | None, params: ChainParams) -> Expected
     Detector efficiency is applied exactly once, inside the click model;
     all upstream factors are photon-number transmissions.
     """
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    if phi is not None and params.interferometer is None:
-        raise ValueError("phi was given but the chain has no interferometer")
-    eta = conversion_efficiency(params.converter)
-    signal = mu * eta * params.post_converter_transmission
-    noise = noise_background(params.converter).scaled(params.post_converter_transmission)
-    if params.interferometer is not None:
-        cos_phi = 0.0 if phi is None else math.cos(phi)
-        fringe = (1.0 + _fringe_contrast(params) * cos_phi) / 2.0
-        signal *= fringe
-        noise = suppress_background(noise, params.interferometer)
-    total = signal + noise.total_photons_per_gate
-    return ExpectedRate(
-        signal_photons=signal,
-        noise_photons=noise.total_photons_per_gate,
-        mean_photons=total,
-        click_probability=click_probability(total, params.detector),
-    )
+    return _ClosedForm(params).rate(mu, phi)
 
 
 @dataclass(frozen=True)
@@ -143,18 +149,13 @@ def analytic_visibility(mu: float, params: ChainParams) -> VisibilityPair:
     if mu < 0.0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     det = params.detector
-    eta = conversion_efficiency(params.converter)
-    s_clicks = det.efficiency * mu * eta * params.post_converter_transmission
-    noise = suppress_background(
-        noise_background(params.converter).scaled(params.post_converter_transmission),
-        params.interferometer,
-    )
-    b_noise = det.efficiency * noise.total_photons_per_gate
+    chain = _ClosedForm(params)
+    s_clicks = det.efficiency * mu * chain.eta * chain.t_post
+    b_noise = det.efficiency * chain.noise
     if s_clicks == 0.0:
         return VisibilityPair(0.0, 0.0)
-    contrast = _fringe_contrast(params)
-    raw = s_clicks * contrast / (s_clicks + 2.0 * (b_noise + det.dark_prob_per_gate))
-    sub = s_clicks * contrast / (s_clicks + 2.0 * b_noise)
+    raw = s_clicks * chain.contrast / (s_clicks + 2.0 * (b_noise + det.dark_prob_per_gate))
+    sub = s_clicks * chain.contrast / (s_clicks + 2.0 * b_noise)
     return VisibilityPair(raw, sub)
 
 
@@ -283,15 +284,26 @@ class LineFit:
 
 
 def fit_through_origin(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> LineFit:
-    """Weighted fit; slope and sigma are NaN when every abscissa is zero."""
+    """Weighted fit; slope and sigma are NaN when every abscissa is zero, and
+    each is NaN when it is not finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
+    sigmas = np.asarray(sigmas, dtype=float)
+    # weights relative to a power of two at or below the smallest sigma: they
+    # are at most 4, so squaring cannot overflow (a sigma 2**511 times the
+    # smallest gets weight 0), and the scale cancels exactly in slope and sigma
+    scale = math.ldexp(1.0, math.frexp(float(np.min(sigmas, initial=math.inf)))[1] - 1)
+    with np.errstate(over="ignore"):
+        w = 1.0 / (sigmas / scale) ** 2
     denom = float(np.sum(w * x * x))
     if denom == 0.0:
         return LineFit(slope=math.nan, slope_sigma=math.nan)
     slope = float(np.sum(w * x * y)) / denom
-    return LineFit(slope=slope, slope_sigma=math.sqrt(1.0 / denom))
+    return LineFit(_finite_or_nan(slope), _finite_or_nan(math.sqrt(1.0 / denom) * scale))
+
+
+def _finite_or_nan(value: float) -> float:
+    return value if math.isfinite(value) else math.nan
 
 
 def _sigma_floor(summary: CountSummary) -> float:
@@ -364,17 +376,20 @@ def run_fig4a(
     noise_denom = det.efficiency * t_post
     if eff_denom == 0.0 or noise_denom == 0.0:
         raise ValueError("no signal reaches the detector: its efficiency or the transmission is 0")
-    raw: list[CountSummary] = []
+    probs: list[float] = []
+    for power in powers:
+        rate = _ClosedForm(params.at_pump_power(power)).rate
+        probs += [rate(mu, None).click_probability, rate(0.0, None).click_probability]
+    # seeds (i, 0) for the signal run and (i, 1) for the signal-off run
+    seeds = derive_seeds(seed, np.arange(len(powers))[:, None], np.arange(2)).ravel()
+    records = sample_scan(probs, det, gates_per_point, seeds)
+    raw = records[0::2]
     rows: list[tuple] = []
     noise_fit_sigma: list[float] = []
-    for i, power in enumerate(powers):
-        point = params.at_pump_power(power)
-        sig = simulate_point(mu, None, point, gates_per_point, derive_seed(seed, i, 0))
-        bg = simulate_point(0.0, None, point, gates_per_point, derive_seed(seed, i, 1))
-        raw.append(sig)
+    for power, sig, bg in zip(powers, raw, records[1::2]):
         # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
         # a saturated run (every gate clicked) cannot be inverted, so the
-        # estimators that use it are NaN
+        # estimators that use it are NaN, as is an estimate that overflows
         miss_sig = 1.0 - sig.p_click
         miss_bg = 1.0 - bg.p_click
         efficiency = eff_sigma = noise = noise_sigma = fit_sigma = math.nan
@@ -385,8 +400,9 @@ def run_fig4a(
             if miss_sig > 0.0:
                 efficiency = math.log(miss_bg / miss_sig) / eff_denom
                 eff_sigma = math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom
-        rows.append((power * 1e3, efficiency, eff_sigma, noise, noise_sigma))
-        noise_fit_sigma.append(fit_sigma)
+        estimates = (efficiency, eff_sigma, noise, noise_sigma)
+        rows.append((power * 1e3, *map(_finite_or_nan, estimates)))
+        noise_fit_sigma.append(fit_sigma if math.isfinite(noise) else math.nan)
     columns = _table(
         ("power_mw", "efficiency", "eff_sigma", "noise_per_gate", "noise_sigma"), rows
     )
@@ -415,15 +431,16 @@ def run_fig4b(
     if params.interferometer is not None:
         raise ValueError("the count-rate sweep runs without the interferometer")
     mus = [float(m) for m in mu_grid]
-    raw: list[CountSummary] = []
-    floors: list[float] = []
+    rate = _ClosedForm(params).rate
+    floor = rate(0.0, None).click_probability
+    probs = [p for mu in mus for p in (rate(mu, None).click_probability, floor)]
+    seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2)).ravel()
+    records = sample_scan(probs, params.detector, gates_per_point, seeds)
+    raw = records[0::2]
+    floors = [bg.p_click for bg in records[1::2]]
     rows: list[tuple] = []
-    for i, mu in enumerate(mus):
-        sig = simulate_point(mu, None, params, gates_per_point, derive_seed(seed, i, 0))
-        bg = simulate_point(0.0, None, params, gates_per_point, derive_seed(seed, i, 1))
+    for mu, sig, bg in zip(mus, raw, records[1::2]):
         corrected = dark_subtract(sig, bg)
-        raw.append(sig)
-        floors.append(bg.p_click)
         rows.append((mu, sig.p_click, sig.sigma_p, corrected.p, corrected.sigma))
     columns = _table(("mu", "p_raw", "p_raw_sigma", "p_subtracted", "p_subtracted_sigma"), rows)
     line = fit_through_origin(
@@ -481,37 +498,39 @@ def run_fig5(
         if params.interferometer is None:
             raise ValueError("fringe scan requires an interferometer in the chain")
         run_params = params
-    raw: list[CountSummary] = []
-    for i, phi in enumerate(phis):
-        phi_arg = None if control else float(phi)
-        raw.append(
-            simulate_point(mu, phi_arg, run_params, gates_per_point, derive_seed(seed, i))
-        )
-    fitted = fit_cosine(
-        phis,
-        np.array([s.p_click for s in raw]),
-        np.array([_sigma_floor(s) for s in raw]),
-    )
-    dark = params.detector.dark_prob_per_gate
+    rate = _ClosedForm(run_params).rate
+    probs = [rate(mu, None if control else float(phi)).click_probability for phi in phis]
+    seeds = derive_seeds(seed, np.arange(phis.size))
+    raw = sample_scan(probs, params.detector, gates_per_point, seeds)
+    fit = _fringe_fit(phis, raw, params.detector.dark_prob_per_gate)
     return ScanResult(
         columns={
             "phi_rad": [float(p) for p in phis],
             "rate_per_s": [s.rate_per_s for s in raw],
             "rate_sigma": [s.sigma_p * s.gate_rate_hz for s in raw],
         },
-        fit={
-            "c0": fitted.c0,
-            "c1": fitted.c1,
-            "c0_sigma": fitted.c0_sigma,
-            "c1_sigma": fitted.c1_sigma,
-            "visibility": fitted.visibility,
-            "visibility_sigma": fitted.visibility_sigma,
-            "visibility_sub": fitted.visibility_dark_subtracted(dark),
-            "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark),
-            "control": 1.0 if control else 0.0,
-        },
+        fit={**fit, "control": 1.0 if control else 0.0},
         raw=raw,
     )
+
+
+def _fringe_fit(phis: np.ndarray, raw: list[CountSummary], dark: float) -> dict[str, float]:
+    """Fit c0 + c1*cos(phi) to the click records of one fringe scan."""
+    fitted = fit_cosine(
+        phis,
+        np.array([s.p_click for s in raw]),
+        np.array([_sigma_floor(s) for s in raw]),
+    )
+    return {
+        "c0": fitted.c0,
+        "c1": fitted.c1,
+        "c0_sigma": fitted.c0_sigma,
+        "c1_sigma": fitted.c1_sigma,
+        "visibility": fitted.visibility,
+        "visibility_sigma": fitted.visibility_sigma,
+        "visibility_sub": fitted.visibility_dark_subtracted(dark),
+        "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark),
+    }
 
 
 def run_fig6(
@@ -523,16 +542,25 @@ def run_fig6(
 ) -> ScanResult:
     """Fringe visibility versus mu, Monte Carlo against the analytic curve.
 
-    Each mu runs a full fringe scan; a point counts as a detected fringe
-    when its raw visibility exceeds three times its uncertainty.
+    Each mu runs a full fringe scan, seeded as ``run_fig5`` with seed
+    ``derive_seed(seed, j)`` for the j-th mu; all mu x phi points are sampled
+    as one scan. A point counts as a detected fringe when its raw visibility
+    exceeds three times its uncertainty.
     """
     if params.interferometer is None:
         raise ValueError("the visibility sweep requires an interferometer in the chain")
+    if n_phi < 4:
+        raise ValueError(f"fringe scan needs at least 4 phase points, got {n_phi}")
     mus = [float(m) for m in mu_grid]
     phis = default_phi_grid(n_phi)
+    rate = _ClosedForm(params).rate
+    probs = [rate(mu, float(phi)).click_probability for mu in mus for phi in phis]
+    seeds = derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None], np.arange(n_phi))
+    records = sample_scan(probs, params.detector, gates_per_point, seeds.ravel())
     rows: list[tuple] = []
     for j, mu in enumerate(mus):
-        fit = run_fig5(params, mu, phis, gates_per_point, derive_seed(seed, j)).fit
+        fit = _fringe_fit(phis, records[j * n_phi:(j + 1) * n_phi],
+                          params.detector.dark_prob_per_gate)
         curve = analytic_visibility(mu, params)
         detectable = fit["visibility"] > 3.0 * fit["visibility_sigma"]
         rows.append((mu, fit["visibility"], fit["visibility_sigma"], fit["visibility_sub"],

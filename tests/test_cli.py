@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -321,6 +324,7 @@ class TestRunCommand:
         assert math.isfinite(fit[slope])
         assert math.isfinite(fit[sigma])
 
+    @pytest.mark.filterwarnings("error")
     def test_saturated_fig4a_gives_nan_noise(self, tmp_path, capsys):
         # every gate clicks: the click model cannot be inverted, so the noise
         # estimates are NaN and stay out of the slope fit, without warnings
@@ -336,6 +340,47 @@ class TestRunCommand:
         for row in rows:
             assert all(math.isnan(float(v)) for v in row[3:])
         _assert_nan_policy("fig4a", out.read_text())
+
+    def test_tiny_transmission_fig4a_without_overflow(self, tmp_path):
+        # a subnormal transmission puts the noise estimates near 1e306 and
+        # their fit sigmas near 1e308: the fit weights must not overflow, and
+        # the fitted slope stays finite while its sigma (1/0.027 x 1e308) is NaN
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["chain"]["transmission_product"] = 1e-310
+        raw["scenarios"]["fig4a"] = {"power_mw": [0, 27], "gates_per_point": 1000}
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from qfdc.cli import main; sys.exit(main())",
+             "run", "fig4a", str(config), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        fit = dict(line.split(":") for line in proc.stdout.splitlines()[1:])
+        assert math.isfinite(float(fit["  noise_slope_per_w"]))
+        assert math.isnan(float(fit["  noise_slope_sigma"]))
+        _assert_nan_policy("fig4a", out.read_text())
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_transmission_fig4a_gives_nan_not_inf(self, tmp_path, capsys):
+        # at 1e-320 the inversion divides by a subnormal and overflows: the
+        # overflowing estimates are NaN and leave the noise-slope fit
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["chain"]["transmission_product"] = 1e-320
+        raw["scenarios"]["fig4a"] = {"power_mw": [0, 27], "gates_per_point": 1000}
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        assert main(["run", "fig4a", str(config), "--out", str(out)]) == 0
+        _assert_nan_policy("fig4a", out.read_text())
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert all(math.isnan(float(row[3])) for row in rows)
+        assert "noise_slope_per_w: nan" in capsys.readouterr().out
 
     def test_missing_report_exit_1(self, tmp_path, capsys):
         config = _fast_config(tmp_path)
@@ -462,6 +507,7 @@ def _assert_nan_policy(scenario: str, csv_text: str) -> None:
     assert header == CSV_SCHEMAS[scenario]
     for row in rows:
         for name, cell in zip(header, row):
+            assert not math.isinf(float(cell)), (scenario, name, row)
             if math.isnan(float(cell)):
                 assert name in _NAN_COLUMNS[scenario], (scenario, name, row)
 

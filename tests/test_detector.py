@@ -14,7 +14,9 @@ from qfdc.detector import (
     click_probability,
     dark_subtract,
     derive_seed,
+    derive_seeds,
     sample_gates,
+    sample_scan,
 )
 
 DETECTOR = DetectorSpec()  # 10% efficiency, 2.6e-5 dark, 4 MHz
@@ -179,6 +181,41 @@ class TestBlockStreams:
         assert together == alone * 4
 
 
+class TestSampleScan:
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 1.0)), max_size=4),
+        st.integers(1, 3 * BLOCK_GATES + 1000),
+    )
+    @example([(1, 2.6e-5), (5, 0.0), (6, 1.0)], 3 * BLOCK_GATES + 12_345)  # partial last block
+    @example([(2, 0.3), (2**64 - 1, 28.0 / BLOCK_GATES), (0, 31.0 / BLOCK_GATES)],
+             2 * BLOCK_GATES + 1)  # one-gate last block; n*p just under and over 30
+    @example([(3, 1e-3), (4, 0.5)], BLOCK_GATES - 1)  # one partial block
+    @example([], 10)
+    @settings(max_examples=40, deadline=None)
+    def test_each_point_matches_fresh_generator_per_block(self, points, n_gates):
+        records = sample_scan([p for _, p in points], DETECTOR, n_gates, [s for s, _ in points])
+        assert [r.clicks for r in records] == [
+            _reference_clicks(seed, n_gates, p) for seed, p in points
+        ]
+        assert all(r.gates == n_gates and r.gate_rate_hz == 4e6 for r in records)
+
+    def test_point_is_sample_gates(self):
+        points = [(11, 0.2), (12, 5.0), (11, 0.0)]
+        probs = [click_probability(mu, DETECTOR) for _, mu in points]
+        seeds = np.array([seed for seed, _ in points], dtype=np.uint64)
+        scan = sample_scan(probs, DETECTOR, 2_500_000, seeds)
+        assert scan == [sample_gates(mu, DETECTOR, 2_500_000, seed) for seed, mu in points]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            sample_scan([0.1, 0.2], DETECTOR, 10, [1])
+        with pytest.raises(ValueError):
+            sample_scan([0.1], DETECTOR, 0, [1])
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                sample_scan([0.1], DETECTOR, 10, [seed])
+
+
 class TestDarkSubtract:
     def test_identical_summaries(self):
         s = sample_gates(1e-3, DETECTOR, 1_000_000, seed=3)
@@ -248,3 +285,55 @@ class TestDeriveSeed:
     def test_range(self):
         s = derive_seed(2**63, 5)
         assert 0 <= s < 2**64
+
+
+#: masters at the word boundaries of SeedSequence's entropy: one uint32 word,
+#: two, the largest 64-bit seed, three words, and more words than its pool of 4
+_EDGE_MASTERS = [0, 2**32, 2**64 - 1, 2**64 + 1, 2**130]
+
+
+class TestDeriveSeeds:
+    @given(
+        st.integers(0, 2**140),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    )
+    @example(_EDGE_MASTERS[0], [0, 1, 2**32 - 1])
+    @example(_EDGE_MASTERS[1], [0, 5])
+    @example(_EDGE_MASTERS[2], [0, 7])
+    @example(_EDGE_MASTERS[3], [3])
+    @example(_EDGE_MASTERS[4], [0, 1])
+    @settings(max_examples=100, deadline=None)
+    def test_int_master(self, master, indices):
+        # (master, i) seeds fig5 and fig6 points, (master, i, r) fig4a and fig4b runs
+        assert derive_seeds(master, indices).tolist() == [derive_seed(master, i) for i in indices]
+        assert derive_seeds(master, np.array(indices)[:, None], np.arange(2)).tolist() == [
+            [derive_seed(master, i, r) for r in range(2)] for i in indices
+        ]
+
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([0, 2**32, 2**64 - 1], 0)
+    @settings(max_examples=100, deadline=None)
+    def test_uint64_array_master(self, masters, index):
+        array = np.array(masters, dtype=np.uint64)
+        assert derive_seeds(array, index).tolist() == [derive_seed(m, index) for m in masters]
+        assert derive_seeds(array[:, None], [0, index], 1).tolist() == [
+            [derive_seed(m, 0, 1), derive_seed(m, index, 1)] for m in masters
+        ]
+
+    @pytest.mark.parametrize("master", _EDGE_MASTERS)
+    def test_two_levels(self, master):
+        # fig6: point i of the j-th fringe scan is seeded derive_seed(derive_seed(seed, j), i)
+        rows = derive_seeds(master, np.arange(3))
+        assert derive_seeds(rows[:, None], np.arange(4)).tolist() == [
+            [derive_seed(derive_seed(master, j), i) for i in range(4)] for j in range(3)
+        ]
+
+    @pytest.mark.parametrize("master, index", [
+        (-1, [0]), (1, [-1]), (1, [2**32]), (1, [0.5]),
+    ])
+    def test_rejects_out_of_range(self, master, index):
+        with pytest.raises(ValueError):
+            derive_seeds(master, index)

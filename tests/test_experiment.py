@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfdc.detector import click_probability, derive_seed
+from qfdc.detector import click_probability, dark_subtract, derive_seed
 from qfdc.experiment import (
     ChainParams,
     CosineFit,
@@ -338,6 +338,80 @@ class TestScenarioDrivers:
     def test_fig6_requires_interferometer(self, bare_chain):
         with pytest.raises(ValueError):
             run_fig6(bare_chain, [0.7])
+
+
+#: masters at SeedSequence's word boundaries, and one wider than 64 bits
+_SEEDS = [0, 2**32, 2**64 - 1, 2**130]
+
+
+class TestScansMatchPointByPoint:
+    """Each scenario samples its scan at once; every record equals the one
+    simulate_point gives for that point and its derive_seed seed alone."""
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_fig4a(self, bare_chain, seed):
+        powers, gates, mu = [0.0, 0.0135, 0.027], 1_500_000, 125.0
+        scan = run_fig4a(bare_chain, powers, mu, gates, seed)
+        det, t_post = bare_chain.detector, bare_chain.post_converter_transmission
+        for i, power in enumerate(powers):
+            point = bare_chain.at_pump_power(power)
+            sig = simulate_point(mu, None, point, gates, derive_seed(seed, i, 0))
+            bg = simulate_point(0.0, None, point, gates, derive_seed(seed, i, 1))
+            assert scan.raw[i] == sig
+            miss_sig, miss_bg = 1.0 - sig.p_click, 1.0 - bg.p_click
+            assert scan.columns["efficiency"][i] == (
+                math.log(miss_bg / miss_sig) / (det.efficiency * mu * t_post)
+            )
+            assert scan.columns["noise_per_gate"][i] == (
+                math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / (det.efficiency * t_post)
+            )
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_fig4b(self, bare_chain, seed):
+        mus, gates = [0.0, 0.3, 10.0], 1_500_000
+        scan = run_fig4b(bare_chain, mus, gates, seed)
+        for i, mu in enumerate(mus):
+            sig = simulate_point(mu, None, bare_chain, gates, derive_seed(seed, i, 0))
+            bg = simulate_point(0.0, None, bare_chain, gates, derive_seed(seed, i, 1))
+            assert scan.raw[i] == sig
+            assert scan.columns["p_subtracted"][i] == dark_subtract(sig, bg).p
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    @pytest.mark.parametrize("control", [False, True])
+    def test_fig5(self, chain, seed, control):
+        phis, gates = default_phi_grid(8), 2_500_000
+        scan = run_fig5(chain, 0.7, phis, gates, seed, control=control)
+        params = chain.without_interferometer() if control else chain
+        raw = [
+            simulate_point(0.7, None if control else float(phi), params, gates,
+                           derive_seed(seed, i))
+            for i, phi in enumerate(phis)
+        ]
+        assert scan.raw == raw
+        fit = fit_cosine(phis, np.array([s.p_click for s in raw]),
+                         np.array([max(s.sigma_p, 1.0 / gates) for s in raw]))
+        assert (scan.fit["c0"], scan.fit["c1"], scan.fit["visibility"]) == (
+            fit.c0, fit.c1, fit.visibility
+        )
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_fig6(self, chain, seed):
+        mus, n_phi, gates = [0.0, 0.7, 45.0], 5, 1_200_000
+        scan = run_fig6(chain, mus, n_phi, gates, seed)
+        phis = default_phi_grid(n_phi)
+        dark = chain.detector.dark_prob_per_gate
+        for j, mu in enumerate(mus):
+            raw = [simulate_point(mu, float(phi), chain, gates,
+                                  derive_seed(derive_seed(seed, j), i))
+                   for i, phi in enumerate(phis)]
+            fit = fit_cosine(phis, np.array([s.p_click for s in raw]),
+                             np.array([max(s.sigma_p, 1.0 / gates) for s in raw]))
+            names = ("v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma")
+            row = [scan.columns[name][j] for name in names]
+            expected = [fit.visibility, fit.visibility_sigma,
+                        fit.visibility_dark_subtracted(dark),
+                        fit.visibility_dark_subtracted_sigma(dark)]
+            assert repr(row) == repr(expected)
 
 
 class TestChainParams:
