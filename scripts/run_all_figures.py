@@ -43,9 +43,9 @@ def main() -> int:
     steps.append(control)
 
     for step in steps:
-        t0 = time.time()
+        t0 = time.perf_counter()
         code = qfdc_main(step)
-        print(f"[{time.time() - t0:6.1f}s] qfdc {' '.join(step)} -> exit {code}")
+        print(f"[{time.perf_counter() - t0:6.1f}s] qfdc {' '.join(step)} -> exit {code}")
         if code != 0:
             return code
     return 0

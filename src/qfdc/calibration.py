@@ -294,10 +294,10 @@ def calibrate(
     }
     for name, value in fitted.items():
         lo, hi = BOUNDS[name]
-        if math.isnan(value):
+        if not math.isfinite(_clip(value, lo, hi)):  # NaN, or inf that no bound stops
             fitted[name] = lo
-            if not problems:  # only a scale factor that underflows to zero gets here
-                problems.append(f"{name} is undefined: its scale factor underflows to zero")
+            if not problems:  # only a scale factor that underflows gets here
+                problems.append(f"{name} is undefined: its scale factor underflows")
         elif not lo <= value <= hi:
             problems.append(f"{name} = {value:.6g} violates bounds [{lo:g}, {hi:g}]")
             fitted[name] = _clip(value, lo, hi)

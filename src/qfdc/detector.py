@@ -22,8 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK_GATES = 1 << 20
 
@@ -109,6 +111,7 @@ def sample_scan(p, spec: DetectorSpec, n_gates: int, seeds) -> list[CountSummary
     would get alone. One Philox generator per call is rekeyed for every
     ``(seed, block)`` pair.
     """
+    import numpy as np
     n_gates = int(n_gates)
     if n_gates < 1:
         raise ValueError(f"n_gates must be >= 1, got {n_gates}")
@@ -178,6 +181,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
     reproducible for a fixed master seed and independent of evaluation
     order; scans compute the same seeds with :func:`derive_seeds`.
     """
+    import numpy as np
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -203,6 +207,7 @@ def derive_seeds(master, *index_arrays) -> np.ndarray:
     runs in wrapping uint32 arithmetic: the words are hashmixed into a
     four-word pool, and two output words make ``generate_state(1, uint64)``.
     """
+    import numpy as np
     if isinstance(master, int):
         if master < 0:
             raise ValueError(f"master seed must be >= 0, got {master}")

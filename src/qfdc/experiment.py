@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .detector import (
     CountSummary,
@@ -33,6 +32,9 @@ from .interferometer import (
 )
 from .mixer import ConverterSpec, conversion_efficiency, convert, noise_background
 from .optics import PhasePattern, attenuate, coherent_train, transmission_loss_db
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_N_SLOTS = 4096
 DEFAULT_GATES_PER_POINT = 40_000_000  # 10 s at the 4 MHz gate rate
@@ -258,6 +260,7 @@ def fit_cosine(phis: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> Cosi
     The per-point sigmas enter only the parameter covariance (sandwich
     form), keeping the estimator itself independent of the noise estimates.
     """
+    import numpy as np
     phis = np.asarray(phis, dtype=float)
     y = np.asarray(values, dtype=float)
     sig = np.asarray(sigmas, dtype=float)
@@ -286,6 +289,7 @@ class LineFit:
 def fit_through_origin(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> LineFit:
     """Weighted fit; slope and sigma are NaN when every abscissa is zero, and
     each is NaN when it is not finite."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
@@ -304,6 +308,14 @@ def fit_through_origin(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> Line
 
 def _finite_or_nan(value: float) -> float:
     return value if math.isfinite(value) else math.nan
+
+
+def _estimate(value: float, sigma: float) -> tuple[float, float]:
+    """An estimate and its sigma, each NaN when not finite; a NaN estimate
+    has a NaN sigma."""
+    if not math.isfinite(value):
+        return math.nan, math.nan
+    return value, _finite_or_nan(sigma)
 
 
 def _sigma_floor(summary: CountSummary) -> float:
@@ -365,6 +377,7 @@ def run_fig4a(
     coupler; the noise estimator references the signal-off counts to the
     waveguide output, where it is linear in pump power.
     """
+    import numpy as np
     if params.interferometer is not None:
         raise ValueError("the power sweep runs without the interferometer")
     if mu <= 0.0:
@@ -400,8 +413,8 @@ def run_fig4a(
             if miss_sig > 0.0:
                 efficiency = math.log(miss_bg / miss_sig) / eff_denom
                 eff_sigma = math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom
-        estimates = (efficiency, eff_sigma, noise, noise_sigma)
-        rows.append((power * 1e3, *map(_finite_or_nan, estimates)))
+        rows.append((power * 1e3, *_estimate(efficiency, eff_sigma),
+                     *_estimate(noise, noise_sigma)))
         noise_fit_sigma.append(fit_sigma if math.isfinite(noise) else math.nan)
     columns = _table(
         ("power_mw", "efficiency", "eff_sigma", "noise_per_gate", "noise_sigma"), rows
@@ -411,9 +424,9 @@ def run_fig4a(
     if positive:
         fitted = [i for i in positive if not math.isnan(noise_fit_sigma[i])]
         line = fit_through_origin(
-            np.array([powers[i] for i in fitted]),
-            np.array([columns["noise_per_gate"][i] for i in fitted]),
-            np.array([noise_fit_sigma[i] for i in fitted]),
+            [powers[i] for i in fitted],
+            [columns["noise_per_gate"][i] for i in fitted],
+            [noise_fit_sigma[i] for i in fitted],
         )
         fit = {"noise_slope_per_w": line.slope, "noise_slope_sigma": line.slope_sigma}
     return ScanResult(columns=columns, fit=fit, raw=raw)
@@ -428,6 +441,7 @@ def run_fig4b(
     """Count rate per gate versus mean input photon number, with the
     noise floor subtracted and a through-origin line fitted to the
     subtracted points."""
+    import numpy as np
     if params.interferometer is not None:
         raise ValueError("the count-rate sweep runs without the interferometer")
     mus = [float(m) for m in mu_grid]
@@ -444,9 +458,9 @@ def run_fig4b(
         rows.append((mu, sig.p_click, sig.sigma_p, corrected.p, corrected.sigma))
     columns = _table(("mu", "p_raw", "p_raw_sigma", "p_subtracted", "p_subtracted_sigma"), rows)
     line = fit_through_origin(
-        np.array(mus),
-        np.array(columns["p_subtracted"]),
-        np.array([max(s, 1.0 / gates_per_point) for s in columns["p_subtracted_sigma"]]),
+        mus,
+        columns["p_subtracted"],
+        [max(s, 1.0 / gates_per_point) for s in columns["p_subtracted_sigma"]],
     )
     columns["fit_line"] = [line.slope * mu for mu in mus]
     return ScanResult(
@@ -462,6 +476,7 @@ def run_fig4b(
 
 def default_phi_grid(n_phi: int = DEFAULT_N_PHI) -> np.ndarray:
     """Evenly spaced modulation phases over one full fringe period."""
+    import numpy as np
     return np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
 
 
@@ -484,6 +499,7 @@ def run_fig5(
     chain, which should leave no fitted modulation. ``workers`` is accepted
     for compatibility and has no effect (it must still be >= 1).
     """
+    import numpy as np
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     phis = default_phi_grid() if phi_grid is None else np.asarray(phi_grid, dtype=float)
@@ -516,11 +532,7 @@ def run_fig5(
 
 def _fringe_fit(phis: np.ndarray, raw: list[CountSummary], dark: float) -> dict[str, float]:
     """Fit c0 + c1*cos(phi) to the click records of one fringe scan."""
-    fitted = fit_cosine(
-        phis,
-        np.array([s.p_click for s in raw]),
-        np.array([_sigma_floor(s) for s in raw]),
-    )
+    fitted = fit_cosine(phis, [s.p_click for s in raw], [_sigma_floor(s) for s in raw])
     return {
         "c0": fitted.c0,
         "c1": fitted.c1,
@@ -547,6 +559,7 @@ def run_fig6(
     as one scan. A point counts as a detected fringe when its raw visibility
     exceeds three times its uncertainty.
     """
+    import numpy as np
     if params.interferometer is None:
         raise ValueError("the visibility sweep requires an interferometer in the chain")
     if n_phi < 4:

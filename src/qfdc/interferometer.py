@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .mixer import NoiseBackground
 from .optics import CoherentPulseTrain
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,7 @@ def transmit_train(
     (the two ports of each interior slot sum to
     ``(|alpha_k|^2 + |alpha_{k-1}|^2) / 2``).
     """
+    import numpy as np
     if port not in (0, 1):
         raise ValueError(f"port must be 0 or 1, got {port}")
     amps = train.amplitudes
@@ -65,6 +68,7 @@ def transmit_train(
 
 def gate_mean_photons(per_slot: np.ndarray) -> float:
     """Mean photons per gate: the average over all counted slots."""
+    import numpy as np
     return float(np.mean(per_slot))
 
 

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .optics import CoherentPulseTrain, OpticalMode, mode_from_angular_frequency
 
 _REL_TOL = 1e-9

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0  # exact by definition
 
@@ -91,6 +93,7 @@ class PhasePattern:
 
     def phases(self, n_slots: int) -> np.ndarray:
         """Expand to one phase per slot; explicit patterns must match n_slots."""
+        import numpy as np
         if n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
         if self.kind == "uniform":
@@ -119,6 +122,7 @@ class CoherentPulseTrain:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-d sequence")
@@ -133,12 +137,12 @@ class CoherentPulseTrain:
 
     def slot_photon_numbers(self) -> np.ndarray:
         """Mean photon number of each slot, ``|alpha_k|**2``."""
-        return np.abs(self.amplitudes) ** 2
+        return abs(self.amplitudes) ** 2
 
     @property
     def mean_photon_number(self) -> float:
         """Average of ``|alpha_k|**2`` over the slots."""
-        return float(np.mean(self.slot_photon_numbers()))
+        return float(self.slot_photon_numbers().mean())
 
     def with_amplitudes(self, amplitudes: np.ndarray, mode: OpticalMode | None = None) -> "CoherentPulseTrain":
         """New train with replaced amplitudes (and optionally mode)."""
@@ -156,6 +160,7 @@ def coherent_train(
     Idealizes the whole preparation chain (pulse carving, phase modulator,
     attenuator, wavelength translation of the source) into one constructor.
     """
+    import numpy as np
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
@@ -188,5 +193,6 @@ def transmission_loss_db(transmission: float) -> float:
 
 def apply_phase(train: CoherentPulseTrain, pattern: PhasePattern) -> CoherentPulseTrain:
     """Rotate each slot's phase per the pattern; magnitudes are unchanged."""
+    import numpy as np
     phases = pattern.phases(train.n_slots)
     return train.with_amplitudes(train.amplitudes * np.exp(1j * phases))

@@ -150,6 +150,19 @@ class TestInfeasibility:
         assert 0.0 < result.transmission_product <= 1.0
         assert result.predictions["conversion_efficiency"] == pytest.approx(0.0035, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "targets, context",
+        [(CalibrationTargets(pump_power_w=1e-320), None),
+         (None, CalibrationContext(leak_fraction=1.0, oob_suppression_db=3200.0))],
+        ids=["subnormal-pump-power", "subnormal-noise-scale"],
+    )
+    def test_overflowing_noise_coefficient_is_infeasible(self, targets, context):
+        # a subnormal noise scale divides the noise level into an inf
+        # coefficient, which the unbounded range of noise_coeff_beta admits
+        result = calibrate(targets, context)
+        assert not result.feasible
+        assert result.noise_coeff_beta == 0.0
+
     def test_high_mu_visibility_too_large(self):
         bad = CalibrationTargets(visibility_high_mu=0.99999)
         result = calibrate(bad)

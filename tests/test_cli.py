@@ -369,7 +369,8 @@ class TestRunCommand:
     @pytest.mark.filterwarnings("error")
     def test_subnormal_transmission_fig4a_gives_nan_not_inf(self, tmp_path, capsys):
         # at 1e-320 the inversion divides by a subnormal and overflows: the
-        # overflowing estimates are NaN and leave the noise-slope fit
+        # overflowing estimates are NaN, as are their sigmas, and leave the
+        # noise-slope fit
         config = _fast_config(tmp_path)
         raw = json.loads(config.read_text())
         raw["chain"]["transmission_product"] = 1e-320
@@ -379,7 +380,7 @@ class TestRunCommand:
         assert main(["run", "fig4a", str(config), "--out", str(out)]) == 0
         _assert_nan_policy("fig4a", out.read_text())
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert all(math.isnan(float(row[3])) for row in rows)
+        assert all(math.isnan(float(row[3])) and math.isnan(float(row[4])) for row in rows)
         assert "noise_slope_per_w: nan" in capsys.readouterr().out
 
     def test_missing_report_exit_1(self, tmp_path, capsys):
@@ -455,9 +456,14 @@ _SMALL_CONFIG["scenarios"] = {
 }
 
 
+#: Tiny positive numbers, subnormals included, which a draw from [0, 2 x
+#: default] almost never reaches.
+_TINY = st.sampled_from([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308])
+
+
 def _near(default: float):
-    """Numbers between 0 and twice a default, or anything at all."""
-    return st.one_of(st.floats(min_value=0.0, max_value=2.0 * default), _ANY)
+    """Numbers between 0 and twice a default, tiny ones, or anything at all."""
+    return st.one_of(st.floats(min_value=0.0, max_value=2.0 * default), _TINY, _ANY)
 
 
 def _value(f):
@@ -510,6 +516,10 @@ def _assert_nan_policy(scenario: str, csv_text: str) -> None:
             assert not math.isinf(float(cell)), (scenario, name, row)
             if math.isnan(float(cell)):
                 assert name in _NAN_COLUMNS[scenario], (scenario, name, row)
+        if scenario == "fig4a":  # a NaN estimate has a NaN sigma
+            efficiency, eff_sigma, noise, noise_sigma = map(float, row[1:])
+            assert not math.isnan(efficiency) or math.isnan(eff_sigma), row
+            assert not math.isnan(noise) or math.isnan(noise_sigma), row
 
 
 class TestGeneratedConfigs:

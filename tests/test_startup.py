@@ -1,0 +1,64 @@
+"""What importing the package and its command line loads and provides."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Records whether numpy is loaded after each start-up step, then after a run.
+_STARTUP_PROBE = """
+import json, sys
+cfg, out = sys.argv[1], sys.argv[2]
+loaded = {}
+import qfdc.cli
+loaded["import qfdc.cli"] = "numpy" in sys.modules
+from qfdc.cli import main
+assert main(["validate", cfg]) == 0
+loaded["validate"] = "numpy" in sys.modules
+assert main(["calibrate", cfg, "--out", out + "/calibration.json"]) == 0
+loaded["calibrate"] = "numpy" in sys.modules
+import qfdc
+qfdc.calibrated_chain(qfdc.calibrate())
+loaded["calibrated_chain"] = "numpy" in sys.modules
+assert main(["run", "fig5", cfg, "--out", out + "/fig5.csv"]) == 0
+loaded["run fig5"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_when_arrays_are_computed(tmp_path):
+    config = json.loads((ROOT / "configs" / "default.json").read_text())
+    config["scenarios"]["fig5"] = {"n_phi": 8, "gates_per_point": 1000}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(path), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import qfdc.cli": False,
+        "validate": False,
+        "calibrate": False,
+        "calibrated_chain": False,
+        "run fig5": True,
+    }
+
+
+def test_every_traced_name_resolves():
+    # bench/tracer.py wraps these (module, attribute) pairs at install time;
+    # a renamed or moved name would make every traced bench run fail
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    importlib.import_module("qfdc.cli")
+    assert tracer.PATCHES
+    for module_name, attr, *_ in tracer.PATCHES:
+        assert module_name in sys.modules, module_name
+        assert callable(getattr(sys.modules[module_name], attr, None)), (module_name, attr)
