@@ -12,9 +12,10 @@ A scan is seeded through :func:`derive_seeds` (:func:`derive_seed` over
 arrays of point indices) and sampled through :func:`sample_scan`, which
 rekeys one Philox generator for every ``(seed, block)`` pair of the scan;
 :func:`sample_gates` is its one-point case. Neither holds state between
-calls. On a 2-core Xeon a 4e6-gate point of a fig6 scan (4 blocks) costs
-about 15 us with its seed, closed form and fit, and a 1e9-gate point (954
-blocks) 1.5-1.9 ms.
+calls. On a 2-core Xeon whose clock speed varies between runs, a 4e6-gate
+point of a fig6 scan (4 blocks) costs 10-16 us with its seed, closed form
+and fit, of which the 4 rekeys and draws take about 7 us, and a 1e9-gate
+point (954 blocks) 1.2-2.0 ms.
 """
 
 from __future__ import annotations
@@ -136,16 +137,18 @@ def sample_scan(p, spec: DetectorSpec, n_gates: int, seeds) -> list[CountSummary
         "uinteger": 0,
     }
     n_blocks = (n_gates + BLOCK_GATES - 1) // BLOCK_GATES
-    block_gates = [BLOCK_GATES] * (n_blocks - 1) + [n_gates - (n_blocks - 1) * BLOCK_GATES]
+    blocks = list(enumerate([BLOCK_GATES] * (n_blocks - 1)
+                            + [n_gates - (n_blocks - 1) * BLOCK_GATES]))
+    binomial = rng.binomial
     records = []
     for seed, p_click in zip(seeds, p, strict=True):
         key[0] = seed
         clicks = 0
-        for i, gates in enumerate(block_gates):
+        for i, gates in blocks:
             key[1] = i
             bit_generator.state = state
-            clicks += int(rng.binomial(gates, p_click))
-        records.append(CountSummary(n_gates, clicks, spec.gate_rate_hz))
+            clicks += binomial(gates, p_click)
+        records.append(CountSummary(n_gates, int(clicks), spec.gate_rate_hz))
     return records
 
 

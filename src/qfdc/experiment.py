@@ -88,8 +88,14 @@ class ExpectedRate:
 
 
 class _ClosedForm:
-    """The per-chain factors of :func:`expected_rate`; :meth:`rate` does the
-    per-point arithmetic, so a scan evaluates the chain once."""
+    """The per-chain factors of :func:`expected_rate`, formed once per scan.
+
+    :meth:`rate` evaluates one point and :meth:`grid` a whole scan. Both
+    form the signal photons ``mu*eta*t_post`` once per mu and the fringe
+    factor ``(1 + contrast*cos(phi))/2`` once per phi, and :meth:`_point`
+    combines them in one order, so a grid point has the bits of its
+    :meth:`rate`.
+    """
 
     def __init__(self, params: ChainParams) -> None:
         self.eta = conversion_efficiency(params.converter)
@@ -106,18 +112,38 @@ class _ClosedForm:
                 params.interferometer.phase_bias_theta)
         self.noise = noise.total_photons_per_gate  # background photons per gate
 
-    def rate(self, mu: float, phi: float | None) -> ExpectedRate:
+    def _signal(self, mu: float) -> float:
+        """Signal photons per gate at the detector, before the fringe."""
         if mu < 0.0:
             raise ValueError(f"mu must be >= 0, got {mu}")
-        if phi is not None and self.contrast is None:
-            raise ValueError("phi was given but the chain has no interferometer")
-        signal = mu * self.eta * self.t_post
-        if self.contrast is not None:
-            cos_phi = 0.0 if phi is None else math.cos(phi)
-            fringe = (1.0 + self.contrast * cos_phi) / 2.0
-            signal *= fringe
+        return mu * self.eta * self.t_post
+
+    def _fringe(self, phi: float | None) -> float:
+        """The fringe factor at phi (``None``: the phi average), 1 without an
+        interferometer; multiplying by 1 leaves every bit as it is."""
+        if self.contrast is None:
+            if phi is not None:
+                raise ValueError("phi was given but the chain has no interferometer")
+            return 1.0
+        cos_phi = 0.0 if phi is None else math.cos(phi)
+        return (1.0 + self.contrast * cos_phi) / 2.0
+
+    def _point(self, signal: float, fringe: float) -> tuple[float, float, float]:
+        """Signal, total photons and click probability per gate at one point."""
+        signal *= fringe
         total = signal + self.noise
-        return ExpectedRate(signal, self.noise, total, click_probability(total, self.detector))
+        return signal, total, click_probability(total, self.detector)
+
+    def rate(self, mu: float, phi: float | None) -> ExpectedRate:
+        signal, total, p = self._point(self._signal(mu), self._fringe(phi))
+        return ExpectedRate(signal, self.noise, total, p)
+
+    def grid(self, mus, phis) -> list[float]:
+        """The click probability at each (mu, phi), mu-major."""
+        fringes = [self._fringe(phi) for phi in phis]
+        point = self._point
+        return [point(signal, fringe)[2] for signal in map(self._signal, mus)
+                for fringe in fringes]
 
 
 def expected_rate(mu: float, phi: float | None, params: ChainParams) -> ExpectedRate:
@@ -254,11 +280,18 @@ class CosineFit:
         return math.sqrt(max(var, 0.0))
 
 
-def fit_cosine(phis: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> CosineFit:
+def fit_cosine(
+    phis: np.ndarray, values: np.ndarray, sigmas: np.ndarray
+) -> CosineFit | list[CosineFit]:
     """Fit c0 + c1*cos(phi) by ordinary least squares.
 
     The per-point sigmas enter only the parameter covariance (sandwich
     form), keeping the estimator itself independent of the noise estimates.
+    A 1-d ``values`` is one fringe and gives one fit; a 2-d ``values`` and
+    ``sigmas`` hold one fringe per row over the same phases and give a list
+    of fits. The design matrix [1, cos(phi)] and the inverse of its normal
+    matrix are formed once per call; each fringe then costs the same
+    matrix-vector products as a fit of its own, so its bits are the same.
     """
     import numpy as np
     phis = np.asarray(phis, dtype=float)
@@ -266,16 +299,19 @@ def fit_cosine(phis: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> Cosi
     sig = np.asarray(sigmas, dtype=float)
     x = np.column_stack([np.ones_like(phis), np.cos(phis)])
     xtx_inv = np.linalg.inv(x.T @ x)
-    coef = xtx_inv @ (x.T @ y)
-    middle = (x * (sig**2)[:, None]).T @ x
-    cov = xtx_inv @ middle @ xtx_inv
-    return CosineFit(
-        c0=float(coef[0]),
-        c1=float(coef[1]),
-        c0_sigma=float(math.sqrt(max(cov[0, 0], 0.0))),
-        c1_sigma=float(math.sqrt(max(cov[1, 1], 0.0))),
-        c0c1_cov=float(cov[0, 1]),
-    )
+    fits = []
+    for y_row, sig_row in zip(np.atleast_2d(y), np.atleast_2d(sig), strict=True):
+        coef = xtx_inv @ (x.T @ y_row)
+        middle = (x * (sig_row**2)[:, None]).T @ x
+        cov = xtx_inv @ middle @ xtx_inv
+        fits.append(CosineFit(
+            c0=float(coef[0]),
+            c1=float(coef[1]),
+            c0_sigma=float(math.sqrt(max(cov[0, 0], 0.0))),
+            c1_sigma=float(math.sqrt(max(cov[1, 1], 0.0))),
+            c0c1_cov=float(cov[0, 1]),
+        ))
+    return fits if y.ndim == 2 else fits[0]
 
 
 @dataclass(frozen=True)
@@ -311,11 +347,10 @@ def _finite_or_nan(value: float) -> float:
 
 
 def _estimate(value: float, sigma: float) -> tuple[float, float]:
-    """An estimate and its sigma, each NaN when not finite; a NaN estimate
-    has a NaN sigma."""
-    if not math.isfinite(value):
+    """An estimate and its sigma, both NaN unless both are finite."""
+    if not (math.isfinite(value) and math.isfinite(sigma)):
         return math.nan, math.nan
-    return value, _finite_or_nan(sigma)
+    return value, sigma
 
 
 def _sigma_floor(summary: CountSummary) -> float:
@@ -389,44 +424,42 @@ def run_fig4a(
     noise_denom = det.efficiency * t_post
     if eff_denom == 0.0 or noise_denom == 0.0:
         raise ValueError("no signal reaches the detector: its efficiency or the transmission is 0")
-    probs: list[float] = []
-    for power in powers:
-        rate = _ClosedForm(params.at_pump_power(power)).rate
-        probs += [rate(mu, None).click_probability, rate(0.0, None).click_probability]
+    # the signal run at mu, then the signal-off run, at each power
+    probs = [p for power in powers
+             for p in _ClosedForm(params.at_pump_power(power)).grid([mu, 0.0], [None])]
     # seeds (i, 0) for the signal run and (i, 1) for the signal-off run
     seeds = derive_seeds(seed, np.arange(len(powers))[:, None], np.arange(2)).ravel()
     records = sample_scan(probs, det, gates_per_point, seeds)
     raw = records[0::2]
     rows: list[tuple] = []
-    noise_fit_sigma: list[float] = []
     for power, sig, bg in zip(powers, raw, records[1::2]):
         # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
         # a saturated run (every gate clicked) cannot be inverted, so the
-        # estimators that use it are NaN, as is an estimate that overflows
+        # estimators that use it are NaN, as is an estimate that overflows or
+        # whose sigma does; the sigmas carry the fits' one-count floor
         miss_sig = 1.0 - sig.p_click
         miss_bg = 1.0 - bg.p_click
-        efficiency = eff_sigma = noise = noise_sigma = fit_sigma = math.nan
+        efficiency = eff_sigma = noise = noise_sigma = math.nan
         if miss_bg > 0.0:
             noise = math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / noise_denom
-            noise_sigma = bg.sigma_p / (miss_bg * noise_denom)
-            fit_sigma = _sigma_floor(bg) / (miss_bg * noise_denom)
+            noise_sigma = _sigma_floor(bg) / (miss_bg * noise_denom)
             if miss_sig > 0.0:
                 efficiency = math.log(miss_bg / miss_sig) / eff_denom
-                eff_sigma = math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom
+                eff_sigma = math.hypot(_sigma_floor(sig) / miss_sig,
+                                       _sigma_floor(bg) / miss_bg) / eff_denom
         rows.append((power * 1e3, *_estimate(efficiency, eff_sigma),
                      *_estimate(noise, noise_sigma)))
-        noise_fit_sigma.append(fit_sigma if math.isfinite(noise) else math.nan)
     columns = _table(
         ("power_mw", "efficiency", "eff_sigma", "noise_per_gate", "noise_sigma"), rows
     )
     positive = [i for i, p in enumerate(powers) if p > 0.0]
     fit: dict[str, float] = {}
     if positive:
-        fitted = [i for i in positive if not math.isnan(noise_fit_sigma[i])]
+        fitted = [i for i in positive if not math.isnan(columns["noise_per_gate"][i])]
         line = fit_through_origin(
             [powers[i] for i in fitted],
             [columns["noise_per_gate"][i] for i in fitted],
-            [noise_fit_sigma[i] for i in fitted],
+            [columns["noise_sigma"][i] for i in fitted],
         )
         fit = {"noise_slope_per_w": line.slope, "noise_slope_sigma": line.slope_sigma}
     return ScanResult(columns=columns, fit=fit, raw=raw)
@@ -445,9 +478,8 @@ def run_fig4b(
     if params.interferometer is not None:
         raise ValueError("the count-rate sweep runs without the interferometer")
     mus = [float(m) for m in mu_grid]
-    rate = _ClosedForm(params).rate
-    floor = rate(0.0, None).click_probability
-    probs = [p for mu in mus for p in (rate(mu, None).click_probability, floor)]
+    floor, *signal = _ClosedForm(params).grid([0.0, *mus], [None])
+    probs = [p for sig in signal for p in (sig, floor)]
     seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2)).ravel()
     records = sample_scan(probs, params.detector, gates_per_point, seeds)
     raw = records[0::2]
@@ -514,11 +546,10 @@ def run_fig5(
         if params.interferometer is None:
             raise ValueError("fringe scan requires an interferometer in the chain")
         run_params = params
-    rate = _ClosedForm(run_params).rate
-    probs = [rate(mu, None if control else float(phi)).click_probability for phi in phis]
+    probs = _ClosedForm(run_params).grid([mu], [None] * phis.size if control else phis.tolist())
     seeds = derive_seeds(seed, np.arange(phis.size))
     raw = sample_scan(probs, params.detector, gates_per_point, seeds)
-    fit = _fringe_fit(phis, raw, params.detector.dark_prob_per_gate)
+    fit, = _fringe_fits(phis, [raw], params.detector.dark_prob_per_gate)
     return ScanResult(
         columns={
             "phi_rad": [float(p) for p in phis],
@@ -530,10 +561,15 @@ def run_fig5(
     )
 
 
-def _fringe_fit(phis: np.ndarray, raw: list[CountSummary], dark: float) -> dict[str, float]:
-    """Fit c0 + c1*cos(phi) to the click records of one fringe scan."""
-    fitted = fit_cosine(phis, [s.p_click for s in raw], [_sigma_floor(s) for s in raw])
-    return {
+def _fringe_fits(phis: np.ndarray, scans: list[list[CountSummary]],
+                 dark: float) -> list[dict[str, float]]:
+    """Fit c0 + c1*cos(phi) to the click records of each fringe scan, all
+    over the phases ``phis``, through one :func:`fit_cosine` call."""
+    import numpy as np
+    shape = (len(scans), len(phis))  # 2-d even without scans
+    fits = fit_cosine(phis, np.reshape([[s.p_click for s in raw] for raw in scans], shape),
+                      np.reshape([[_sigma_floor(s) for s in raw] for raw in scans], shape))
+    return [{
         "c0": fitted.c0,
         "c1": fitted.c1,
         "c0_sigma": fitted.c0_sigma,
@@ -542,7 +578,7 @@ def _fringe_fit(phis: np.ndarray, raw: list[CountSummary], dark: float) -> dict[
         "visibility_sigma": fitted.visibility_sigma,
         "visibility_sub": fitted.visibility_dark_subtracted(dark),
         "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark),
-    }
+    } for fitted in fits]
 
 
 def run_fig6(
@@ -566,14 +602,13 @@ def run_fig6(
         raise ValueError(f"fringe scan needs at least 4 phase points, got {n_phi}")
     mus = [float(m) for m in mu_grid]
     phis = default_phi_grid(n_phi)
-    rate = _ClosedForm(params).rate
-    probs = [rate(mu, float(phi)).click_probability for mu in mus for phi in phis]
+    probs = _ClosedForm(params).grid(mus, phis.tolist())
     seeds = derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None], np.arange(n_phi))
     records = sample_scan(probs, params.detector, gates_per_point, seeds.ravel())
+    fits = _fringe_fits(phis, [records[j * n_phi:(j + 1) * n_phi] for j in range(len(mus))],
+                        params.detector.dark_prob_per_gate)
     rows: list[tuple] = []
-    for j, mu in enumerate(mus):
-        fit = _fringe_fit(phis, records[j * n_phi:(j + 1) * n_phi],
-                          params.detector.dark_prob_per_gate)
+    for mu, fit in zip(mus, fits):
         curve = analytic_visibility(mu, params)
         detectable = fit["visibility"] > 3.0 * fit["visibility_sigma"]
         rows.append((mu, fit["visibility"], fit["visibility_sigma"], fit["visibility_sub"],

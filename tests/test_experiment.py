@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfdc.detector import click_probability, dark_subtract, derive_seed
 from qfdc.experiment import (
     ChainParams,
     CosineFit,
+    _ClosedForm,
     analytic_visibility,
     chain_point_mean,
     default_phi_grid,
@@ -19,6 +23,8 @@ from qfdc.experiment import (
     run_fig6,
     simulate_point,
 )
+from qfdc.interferometer import suppress_background
+from qfdc.mixer import conversion_efficiency, noise_background
 
 
 class TestExpectedRate:
@@ -48,6 +54,58 @@ class TestExpectedRate:
         averaged = expected_rate(1.0, None, chain).signal_photons
         v0 = chain.intrinsic_visibility_v0
         assert averaged == pytest.approx(peak / (1.0 + v0), rel=1e-12)
+
+
+def _reference_click(mu: float, phi: float | None, params: ChainParams) -> float:
+    """The closed form of one point, written out in its fixed arithmetic
+    order: mu*eta*t_post, times the fringe, plus the noise, then the click
+    model."""
+    eta = conversion_efficiency(params.converter)
+    t_post = params.post_converter_transmission
+    noise = noise_background(params.converter).scaled(t_post)
+    signal = mu * eta * t_post
+    if params.interferometer is not None:
+        noise = suppress_background(noise, params.interferometer)
+        contrast = params.intrinsic_visibility_v0 * math.cos(params.interferometer.phase_bias_theta)
+        signal *= (1.0 + contrast * (0.0 if phi is None else math.cos(phi))) / 2.0
+    return click_probability(signal + noise.total_photons_per_gate, params.detector)
+
+
+class TestClosedFormGrid:
+    """A scan's closed form, evaluated over its grid at once, has the bits
+    of every point evaluated alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mus=st.lists(st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, 5e-324, 1e300])),
+                     max_size=4),
+        phis=st.lists(st.one_of(st.none(), st.floats(-100.0, 100.0)), max_size=5),
+        power=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+        interferometer=st.booleans(),
+    )
+    @example([0.0, 0.7, 143.0], [None, 0.0, math.pi / 2, math.pi], 0.027, True)
+    @example([0.0, 125.0], [None], 0.027, False)
+    def test_grid_matches_each_point(self, chain, mus, phis, power, interferometer):
+        params = chain.at_pump_power(power)
+        if not interferometer:
+            params = params.without_interferometer()
+            phis = [None] * len(phis)
+        grid = _ClosedForm(params).grid(mus, phis)
+        alone = [expected_rate(mu, phi, params).click_probability for mu in mus for phi in phis]
+        reference = [_reference_click(mu, phi, params) for mu in mus for phi in phis]
+        assert [p.hex() for p in grid] == [p.hex() for p in alone]
+        assert [p.hex() for p in grid] == [p.hex() for p in reference]
+
+    def test_grid_keeps_the_checks(self, chain, bare_chain):
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            _ClosedForm(chain).grid([0.7, -1.0], [0.0])
+        with pytest.raises(ValueError, match="no interferometer"):
+            _ClosedForm(bare_chain).grid([0.7], [0.0])
+        with pytest.raises(ValueError, match="mean photons must be >= 0"):
+            _ClosedForm(chain).grid([math.nan], [0.0])
+        # an infinite mu at a fringe factor of 0 gives a NaN total
+        with pytest.raises(ValueError, match="mean photons must be >= 0"):
+            _ClosedForm(replace(chain, intrinsic_visibility_v0=1.0)).grid([math.inf], [math.pi])
 
 
 class TestAnalyticVisibility:
@@ -157,6 +215,24 @@ class TestMonteCarloAgainstAnalytic:
         assert ok >= 99
 
 
+def _reference_cosine_fit(phis, values, sigmas) -> CosineFit:
+    """One fringe's least-squares cosine fit, its design formed anew."""
+    phis = np.asarray(phis, dtype=float)
+    y = np.asarray(values, dtype=float)
+    sig = np.asarray(sigmas, dtype=float)
+    x = np.column_stack([np.ones_like(phis), np.cos(phis)])
+    xtx_inv = np.linalg.inv(x.T @ x)
+    coef = xtx_inv @ (x.T @ y)
+    cov = xtx_inv @ ((x * (sig**2)[:, None]).T @ x) @ xtx_inv
+    return CosineFit(
+        c0=float(coef[0]),
+        c1=float(coef[1]),
+        c0_sigma=float(math.sqrt(max(cov[0, 0], 0.0))),
+        c1_sigma=float(math.sqrt(max(cov[1, 1], 0.0))),
+        c0c1_cov=float(cov[0, 1]),
+    )
+
+
 class TestFitHelpers:
     def test_cosine_fit_recovers_exact_coefficients(self):
         phis = default_phi_grid(16)
@@ -197,6 +273,37 @@ class TestFitHelpers:
         fit = CosineFit(c0=c0, c1=1e-6, c0_sigma=1e-7, c1_sigma=1e-7, c0c1_cov=0.0)
         assert math.isnan(fit.visibility)
         assert math.isnan(fit.visibility_sigma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_phi=st.integers(4, 33),
+        n_fringes=st.integers(0, 6),
+        default_grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(16, 32, True, 0)  # one dense_map row
+    @example(7, 5, False, 1)  # rows at odd 8-byte offsets
+    def test_cosine_fits_share_one_design(self, n_phi, n_fringes, default_grid, seed):
+        # fringes fitted as rows of one call have the bits of a fresh
+        # one-fringe fit, and of the fit written out in full
+        rng = np.random.default_rng(seed)
+        phis = default_phi_grid(n_phi) if default_grid else rng.uniform(-10.0, 10.0, n_phi)
+        shape = (n_fringes, n_phi)
+        values = np.reshape(rng.uniform(0.0, 1e-2, shape).tolist(), shape)
+        sigmas = np.reshape((10.0 ** rng.uniform(-12.0, -3.0, shape)).tolist(), shape)
+        shared = fit_cosine(phis, values, sigmas)
+        alone = [fit_cosine(phis.tolist(), y.tolist(), sig.tolist())
+                 for y, sig in zip(values, sigmas)]
+        reference = [_reference_cosine_fit(phis, y.tolist(), sig.tolist())
+                     for y, sig in zip(values, sigmas)]
+        assert repr(shared) == repr(alone) == repr(reference)
+
+    def test_cosine_fit_of_one_fringe_is_one_fit(self):
+        phis = default_phi_grid(8)
+        y = 1e-4 + 3e-5 * np.cos(phis)
+        one = fit_cosine(phis, y, np.full(8, 1e-7))
+        assert isinstance(one, CosineFit)
+        assert fit_cosine(phis, [y], [np.full(8, 1e-7)]) == [one]
 
     def test_through_origin_fit_without_nonzero_abscissa(self):
         fit = fit_through_origin(np.zeros(3), np.ones(3), np.ones(3))
@@ -412,6 +519,57 @@ class TestScansMatchPointByPoint:
                         fit.visibility_dark_subtracted(dark),
                         fit.visibility_dark_subtracted_sigma(dark)]
             assert repr(row) == repr(expected)
+
+
+#: 2**20 + 5 gates: two blocks per point, the second of 5 gates
+_TWO_BLOCKS = 2**20 + 5
+
+
+class TestFrozenScans:
+    """Click counts, and values that rest on them, at fixed seeds, frozen
+    from the point-by-point drivers; any change to a draw, a seed, the
+    closed form or a fit moves them."""
+
+    @pytest.mark.parametrize("seed, signal, noise", [
+        (7, [25, 8284], ["0x1.492b8fbf4140ep-15", "0x1.c3db46b792f8cp-9"]),
+        (2**64 - 1, [31, 8221], ["-0x1.d61df53a06410p-17", "0x1.85092d4c5d768p-9"]),
+    ])
+    def test_fig4a(self, bare_chain, seed, signal, noise):
+        scan = run_fig4a(bare_chain, [0.0, 0.027], 125.0, _TWO_BLOCKS, seed)
+        assert [s.clicks for s in scan.raw] == signal
+        assert [v.hex() for v in scan.columns["noise_per_gate"]] == noise
+
+    @pytest.mark.parametrize("seed, signal, subtracted", [
+        (7, [76, 144, 8155],
+         ["-0x1.7fff880025800p-19", "0x1.9fff7e00289fep-15", "0x1.f8ff62303150fp-8"]),
+        (2**64 - 1, [67, 155, 8219],
+         ["-0x1.dfff6a002ee00p-17", "0x1.1fffa6001c1ffp-14", "0x1.fc9f610e31ab9p-8"]),
+    ])
+    def test_fig4b(self, bare_chain, seed, signal, subtracted):
+        scan = run_fig4b(bare_chain, [0.0, 1.0, 125.0], _TWO_BLOCKS, seed)
+        assert [s.clicks for s in scan.raw] == signal
+        assert [v.hex() for v in scan.columns["p_subtracted"]] == subtracted
+
+    @pytest.mark.parametrize("seed, control, clicks", [
+        (7, False, [85, 46, 40, 47]),
+        (7, True, [128, 99, 117, 105]),
+        (2**64 - 1, False, [88, 52, 34, 58]),
+        (2**64 - 1, True, [132, 114, 113, 120]),
+    ])
+    def test_fig5(self, chain, seed, control, clicks):
+        scan = run_fig5(chain, 0.7, default_phi_grid(4), _TWO_BLOCKS, seed, control=control)
+        assert [s.clicks for s in scan.raw] == clicks
+
+    @pytest.mark.parametrize("seed, v_raw, v_raw_sigma", [
+        (7, ["0x1.3dcb08d3dcb09p-2", "0x1.e0d2adb993590p-1"],
+         ["0x1.7cf8818a59811p-4", "0x1.c26cf9fc889f2p-7"]),
+        (2**64 - 1, ["0x1.c628b3f3257d7p-2", "0x1.d00a0b4cb64d1p-1"],
+         ["0x1.7322060b989fdp-4", "0x1.c0813c971d7cap-7"]),
+    ])
+    def test_fig6(self, chain, seed, v_raw, v_raw_sigma):
+        scan = run_fig6(chain, [0.7, 45.0], 4, _TWO_BLOCKS, seed)
+        assert [v.hex() for v in scan.columns["v_raw"]] == v_raw
+        assert [v.hex() for v in scan.columns["v_raw_sigma"]] == v_raw_sigma
 
 
 class TestChainParams:
