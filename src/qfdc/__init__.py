@@ -15,7 +15,6 @@ from .calibration import (
     residuals_within_tolerance,
 )
 from .detector import (
-    CorrectedRate,
     CountSummary,
     DetectorSpec,
     click_probability,
@@ -65,7 +64,6 @@ __all__ = [
     "ChainParams",
     "CoherentPulseTrain",
     "ConverterSpec",
-    "CorrectedRate",
     "CountSummary",
     "DetectorSpec",
     "ExpectedRate",

@@ -83,9 +83,6 @@ class CalibrationTargets:
             if getattr(self, name) >= 1.0:
                 raise ValueError(f"{name} must be < 1")
 
-    def observables(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in RESIDUAL_TOLERANCES}
-
 
 @dataclass(frozen=True)
 class CalibrationContext:
@@ -150,12 +147,8 @@ class CalibrationResult:
     message: str = ""
 
     def fitted(self) -> dict[str, float]:
-        return {
-            "system_transmission": self.system_transmission,
-            "noise_coeff_beta": self.noise_coeff_beta,
-            "transmission_product": self.transmission_product,
-            "intrinsic_visibility_v0": self.intrinsic_visibility_v0,
-        }
+        """The fitted parameters, in :data:`BOUNDS` order."""
+        return {name: getattr(self, name) for name in BOUNDS}
 
 
 def residuals_within_tolerance(result: CalibrationResult, targets: CalibrationTargets) -> bool:

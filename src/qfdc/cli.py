@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .calibration import (
+    BOUNDS,
     CalibrationContext,
     CalibrationResult,
     CalibrationTargets,
@@ -226,9 +227,7 @@ class ScenarioConfig:
 _TOP_KEYS = {
     "seed", "output_dir", "targets", "apparatus", "chain", "chain_from_report", "scenarios",
 }
-_CHAIN_KEYS = (
-    "system_transmission", "noise_coeff_beta", "transmission_product", "intrinsic_visibility_v0",
-)
+_CHAIN_KEYS = tuple(BOUNDS)
 
 
 def _chain_values(section, path: str) -> dict[str, float]:

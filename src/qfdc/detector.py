@@ -73,25 +73,15 @@ class CountSummary:
 
     @property
     def sigma_p(self) -> float:
-        """Binomial standard error of ``p_click``."""
+        """Binomial standard error of ``p_click``, floored at one click in
+        ``gates``; the floor takes over only at 0, 1, n-1 or n clicks of n,
+        so no run, not even one without clicks, reads as exact."""
         p = self.p_click
-        return math.sqrt(p * (1.0 - p) / self.gates)
+        return max(math.sqrt(p * (1.0 - p) / self.gates), 1.0 / self.gates)
 
     @property
     def rate_per_s(self) -> float:
         return self.p_click * self.gate_rate_hz
-
-
-@dataclass(frozen=True)
-class CorrectedRate:
-    """Background-subtracted click probability with propagated uncertainty.
-
-    ``p`` may come out negative when the background fluctuates above the
-    signal run; it is reported as-is.
-    """
-
-    p: float
-    sigma: float
 
 
 def click_probability(mean_photons_at_detector: float, spec: DetectorSpec) -> float:
@@ -168,13 +158,13 @@ def sample_gates(
     return sample_scan([p], spec, n_gates, [seed])[0]
 
 
-def dark_subtract(signal: CountSummary, background: CountSummary) -> CorrectedRate:
-    """Subtract a background run from a signal run, propagating uncertainty."""
+def dark_subtract(signal: CountSummary, background: CountSummary) -> tuple[float, float]:
+    """Subtract a background run from a signal run: the corrected click
+    probability and its sigma. The probability may come out negative when
+    the background fluctuates above the signal run; it is reported as-is."""
     if not math.isclose(signal.gate_rate_hz, background.gate_rate_hz, rel_tol=1e-12):
         raise ValueError("signal and background summaries must share a gate rate")
-    p = signal.p_click - background.p_click
-    sigma = math.hypot(signal.sigma_p, background.sigma_p)
-    return CorrectedRate(p=p, sigma=sigma)
+    return signal.p_click - background.p_click, math.hypot(signal.sigma_p, background.sigma_p)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

@@ -88,7 +88,8 @@ class ExpectedRate:
 
 
 class _ClosedForm:
-    """The per-chain factors of :func:`expected_rate`, formed once per scan.
+    """The per-chain factors of :func:`expected_rate` and
+    :func:`analytic_visibility`, formed once per scan.
 
     :meth:`rate` evaluates one point and :meth:`grid` a whole scan. Both
     form the signal photons ``mu*eta*t_post`` once per mu and the fringe
@@ -145,6 +146,21 @@ class _ClosedForm:
         return [point(signal, fringe)[2] for signal in map(self._signal, mus)
                 for fringe in fringes]
 
+    def visibility(self, mu: float) -> VisibilityPair:
+        """The paper's fringe visibility at mu; see :func:`analytic_visibility`."""
+        if self.contrast is None:
+            raise ValueError("analytic_visibility requires an interferometer in the chain")
+        if mu < 0.0:
+            raise ValueError(f"mu must be >= 0, got {mu}")
+        det = self.detector
+        s_clicks = det.efficiency * mu * self.eta * self.t_post
+        b_noise = det.efficiency * self.noise
+        if s_clicks == 0.0:
+            return VisibilityPair(0.0, 0.0)
+        raw = s_clicks * self.contrast / (s_clicks + 2.0 * (b_noise + det.dark_prob_per_gate))
+        sub = s_clicks * self.contrast / (s_clicks + 2.0 * b_noise)
+        return VisibilityPair(raw, sub)
+
 
 def expected_rate(mu: float, phi: float | None, params: ChainParams) -> ExpectedRate:
     """Closed-form per-gate signal, background and click probability.
@@ -172,19 +188,7 @@ def analytic_visibility(mu: float, params: ChainParams) -> VisibilityPair:
     S*V0/(S + 2B). The raw value counts dark clicks in B; the subtracted
     value removes them.
     """
-    if params.interferometer is None:
-        raise ValueError("analytic_visibility requires an interferometer in the chain")
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    det = params.detector
-    chain = _ClosedForm(params)
-    s_clicks = det.efficiency * mu * chain.eta * chain.t_post
-    b_noise = det.efficiency * chain.noise
-    if s_clicks == 0.0:
-        return VisibilityPair(0.0, 0.0)
-    raw = s_clicks * chain.contrast / (s_clicks + 2.0 * (b_noise + det.dark_prob_per_gate))
-    sub = s_clicks * chain.contrast / (s_clicks + 2.0 * b_noise)
-    return VisibilityPair(raw, sub)
+    return _ClosedForm(params).visibility(mu)
 
 
 def chain_point_mean(
@@ -314,17 +318,10 @@ def fit_cosine(
     return fits if y.ndim == 2 else fits[0]
 
 
-@dataclass(frozen=True)
-class LineFit:
-    """Weighted least-squares line through the origin, y = slope*x."""
-
-    slope: float
-    slope_sigma: float
-
-
-def fit_through_origin(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> LineFit:
-    """Weighted fit; slope and sigma are NaN when every abscissa is zero, and
-    each is NaN when it is not finite."""
+def fit_through_origin(x: np.ndarray, y: np.ndarray,
+                       sigmas: np.ndarray) -> tuple[float, float]:
+    """Weighted least-squares line y = slope*x: the slope and its sigma, both
+    NaN when every abscissa is zero, and each NaN when it is not finite."""
     import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -337,9 +334,9 @@ def fit_through_origin(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> Line
         w = 1.0 / (sigmas / scale) ** 2
     denom = float(np.sum(w * x * x))
     if denom == 0.0:
-        return LineFit(slope=math.nan, slope_sigma=math.nan)
+        return math.nan, math.nan
     slope = float(np.sum(w * x * y)) / denom
-    return LineFit(_finite_or_nan(slope), _finite_or_nan(math.sqrt(1.0 / denom) * scale))
+    return _finite_or_nan(slope), _finite_or_nan(math.sqrt(1.0 / denom) * scale)
 
 
 def _finite_or_nan(value: float) -> float:
@@ -351,11 +348,6 @@ def _estimate(value: float, sigma: float) -> tuple[float, float]:
     if not (math.isfinite(value) and math.isfinite(sigma)):
         return math.nan, math.nan
     return value, sigma
-
-
-def _sigma_floor(summary: CountSummary) -> float:
-    """Binomial sigma with a one-count floor so zero-click points keep weight."""
-    return max(summary.sigma_p, 1.0 / summary.gates)
 
 
 # --- scan results ----------------------------------------------------------
@@ -436,17 +428,16 @@ def run_fig4a(
         # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
         # a saturated run (every gate clicked) cannot be inverted, so the
         # estimators that use it are NaN, as is an estimate that overflows or
-        # whose sigma does; the sigmas carry the fits' one-count floor
+        # whose sigma does
         miss_sig = 1.0 - sig.p_click
         miss_bg = 1.0 - bg.p_click
         efficiency = eff_sigma = noise = noise_sigma = math.nan
         if miss_bg > 0.0:
             noise = math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / noise_denom
-            noise_sigma = _sigma_floor(bg) / (miss_bg * noise_denom)
+            noise_sigma = bg.sigma_p / (miss_bg * noise_denom)
             if miss_sig > 0.0:
                 efficiency = math.log(miss_bg / miss_sig) / eff_denom
-                eff_sigma = math.hypot(_sigma_floor(sig) / miss_sig,
-                                       _sigma_floor(bg) / miss_bg) / eff_denom
+                eff_sigma = math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom
         rows.append((power * 1e3, *_estimate(efficiency, eff_sigma),
                      *_estimate(noise, noise_sigma)))
     columns = _table(
@@ -456,12 +447,12 @@ def run_fig4a(
     fit: dict[str, float] = {}
     if positive:
         fitted = [i for i in positive if not math.isnan(columns["noise_per_gate"][i])]
-        line = fit_through_origin(
+        slope, slope_sigma = fit_through_origin(
             [powers[i] for i in fitted],
             [columns["noise_per_gate"][i] for i in fitted],
             [columns["noise_sigma"][i] for i in fitted],
         )
-        fit = {"noise_slope_per_w": line.slope, "noise_slope_sigma": line.slope_sigma}
+        fit = {"noise_slope_per_w": slope, "noise_slope_sigma": slope_sigma}
     return ScanResult(columns=columns, fit=fit, raw=raw)
 
 
@@ -482,25 +473,19 @@ def run_fig4b(
     probs = [p for sig in signal for p in (sig, floor)]
     seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2)).ravel()
     records = sample_scan(probs, params.detector, gates_per_point, seeds)
-    raw = records[0::2]
-    floors = [bg.p_click for bg in records[1::2]]
-    rows: list[tuple] = []
-    for mu, sig, bg in zip(mus, raw, records[1::2]):
-        corrected = dark_subtract(sig, bg)
-        rows.append((mu, sig.p_click, sig.sigma_p, corrected.p, corrected.sigma))
+    raw, backgrounds = records[0::2], records[1::2]
+    rows = [(mu, sig.p_click, sig.sigma_p, *dark_subtract(sig, bg))
+            for mu, sig, bg in zip(mus, raw, backgrounds)]
     columns = _table(("mu", "p_raw", "p_raw_sigma", "p_subtracted", "p_subtracted_sigma"), rows)
-    line = fit_through_origin(
-        mus,
-        columns["p_subtracted"],
-        [max(s, 1.0 / gates_per_point) for s in columns["p_subtracted_sigma"]],
-    )
-    columns["fit_line"] = [line.slope * mu for mu in mus]
+    slope, slope_sigma = fit_through_origin(
+        mus, columns["p_subtracted"], columns["p_subtracted_sigma"])
+    columns["fit_line"] = [slope * mu for mu in mus]
     return ScanResult(
         columns=columns,
         fit={
-            "slope": line.slope,
-            "slope_sigma": line.slope_sigma,
-            "floor_mean": float(np.mean(floors)),
+            "slope": slope,
+            "slope_sigma": slope_sigma,
+            "floor_mean": float(np.mean([bg.p_click for bg in backgrounds])),
         },
         raw=raw,
     )
@@ -568,7 +553,7 @@ def _fringe_fits(phis: np.ndarray, scans: list[list[CountSummary]],
     import numpy as np
     shape = (len(scans), len(phis))  # 2-d even without scans
     fits = fit_cosine(phis, np.reshape([[s.p_click for s in raw] for raw in scans], shape),
-                      np.reshape([[_sigma_floor(s) for s in raw] for raw in scans], shape))
+                      np.reshape([[s.sigma_p for s in raw] for raw in scans], shape))
     return [{
         "c0": fitted.c0,
         "c1": fitted.c1,
@@ -602,14 +587,15 @@ def run_fig6(
         raise ValueError(f"fringe scan needs at least 4 phase points, got {n_phi}")
     mus = [float(m) for m in mu_grid]
     phis = default_phi_grid(n_phi)
-    probs = _ClosedForm(params).grid(mus, phis.tolist())
+    closed_form = _ClosedForm(params)
+    probs = closed_form.grid(mus, phis.tolist())
     seeds = derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None], np.arange(n_phi))
     records = sample_scan(probs, params.detector, gates_per_point, seeds.ravel())
     fits = _fringe_fits(phis, [records[j * n_phi:(j + 1) * n_phi] for j in range(len(mus))],
                         params.detector.dark_prob_per_gate)
     rows: list[tuple] = []
     for mu, fit in zip(mus, fits):
-        curve = analytic_visibility(mu, params)
+        curve = closed_form.visibility(mu)
         detectable = fit["visibility"] > 3.0 * fit["visibility_sigma"]
         rows.append((mu, fit["visibility"], fit["visibility_sigma"], fit["visibility_sub"],
                      fit["visibility_sub_sigma"], curve.raw, curve.subtracted,

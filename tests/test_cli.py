@@ -399,6 +399,24 @@ class TestRunCommand:
             _, efficiency, eff_sigma, noise, noise_sigma = map(float, row.split(","))
             assert abs(efficiency) < eff_sigma and abs(noise) < noise_sigma, row
 
+    def test_zero_click_fig4b_fig5_sigmas_carry_the_floor(self, tmp_path):
+        # the same one-count floor as fig4a: a run without clicks in 1000
+        # gates has a sigma of 1e-3 in click probability, 4000/s in rate
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["chain"]["transmission_product"] = 1e-310
+        raw["scenarios"]["fig4b"] = {"mu": [0.01, 0.3, 10.0], "gates_per_point": 1000}
+        raw["scenarios"]["fig5"] = {"n_phi": 8, "gates_per_point": 1000}
+        config.write_text(json.dumps(raw))
+        rows = {}
+        for scenario in ("fig4b", "fig5"):
+            out = tmp_path / f"{scenario}.csv"
+            assert main(["run", scenario, str(config), "--out", str(out)]) == 0
+            _assert_nan_policy(scenario, out.read_text())
+            rows[scenario] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows["fig4b"][0][:5] == ["0.01", "0.0", "0.001", "0.0", "0.001414213562373095"]
+        assert [row[1:] for row in rows["fig5"]] == [["0.0", "4000.0"]] * 8
+
     def test_missing_report_exit_1(self, tmp_path, capsys):
         config = _fast_config(tmp_path)
         raw = json.loads(config.read_text())
@@ -537,6 +555,9 @@ def _assert_nan_policy(scenario: str, csv_text: str) -> None:
             assert math.isnan(efficiency) == math.isnan(eff_sigma), row
             assert math.isnan(noise) == math.isnan(noise_sigma), row
             assert eff_sigma != 0.0 and noise_sigma != 0.0, row
+        if scenario in ("fig4b", "fig5"):  # a run without clicks still has a sigma
+            for name, cell in zip(header, row):
+                assert name != "sigma" or float(cell) != 0.0, (scenario, row)
 
 
 class TestGeneratedConfigs:

@@ -129,6 +129,20 @@ class TestSampleGates:
             math.sqrt(summary.p_click * (1 - summary.p_click) / summary.gates), rel=1e-12
         )
 
+    @pytest.mark.parametrize("gates", [1, 2, 3, 4, 10, 1000])
+    def test_sigma_floor_of_one_click(self, gates):
+        # the binomial sigma falls below one click in its gates only at
+        # 0, 1, n-1 or n clicks of n; the floor takes over there alone
+        for clicks in range(gates + 1):
+            summary = CountSummary(gates, clicks, 4e6)
+            p = clicks / gates
+            binomial = math.sqrt(p * (1.0 - p) / gates)
+            assert summary.sigma_p == max(binomial, 1.0 / gates)
+            if clicks in (0, 1, gates - 1, gates):
+                assert summary.sigma_p == 1.0 / gates
+            else:
+                assert summary.sigma_p == binomial
+
 
 class TestBlockStreams:
     @given(
@@ -219,28 +233,29 @@ class TestSampleScan:
 class TestDarkSubtract:
     def test_identical_summaries(self):
         s = sample_gates(1e-3, DETECTOR, 1_000_000, seed=3)
-        out = dark_subtract(s, s)
-        assert out.p == 0.0
-        assert out.sigma == pytest.approx(math.sqrt(2) * s.sigma_p, rel=1e-12)
+        p, sigma = dark_subtract(s, s)
+        assert p == 0.0
+        assert sigma == pytest.approx(math.sqrt(2) * s.sigma_p, rel=1e-12)
 
     def test_quoted_floor_arithmetic(self):
         sig = CountSummary(10_000_000, 700, 4e6)   # p = 7e-5
         bg = CountSummary(10_000_000, 260, 4e6)    # p = 2.6e-5
-        out = dark_subtract(sig, bg)
-        assert out.p == pytest.approx(4.4e-5, rel=1e-12)
+        p, _ = dark_subtract(sig, bg)
+        assert p == pytest.approx(4.4e-5, rel=1e-12)
 
     def test_zero_background_identity(self):
+        # a background run without clicks is not exact: it adds one count
         sig = CountSummary(1_000_000, 123, 4e6)
         bg = CountSummary(1_000_000, 0, 4e6)
-        out = dark_subtract(sig, bg)
-        assert out.p == sig.p_click
-        assert out.sigma == sig.sigma_p
+        p, sigma = dark_subtract(sig, bg)
+        assert p == sig.p_click
+        assert sigma == math.hypot(sig.sigma_p, 1.0 / bg.gates)
 
     def test_negative_flagged(self):
         sig = CountSummary(1_000_000, 10, 4e6)
         bg = CountSummary(1_000_000, 20, 4e6)
-        out = dark_subtract(sig, bg)
-        assert out.p < 0.0
+        p, _ = dark_subtract(sig, bg)
+        assert p < 0.0
 
     def test_rejects_mismatched_rates(self):
         sig = CountSummary(1_000_000, 10, 4e6)
