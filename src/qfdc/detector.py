@@ -10,12 +10,13 @@ gate count and the click probability.
 
 A scan is seeded through :func:`derive_seeds` (:func:`derive_seed` over
 arrays of point indices) and sampled through :func:`sample_scan`, which
-rekeys one Philox generator for every ``(seed, block)`` pair of the scan;
-:func:`sample_gates` is its one-point case. Neither holds state between
-calls. On a 2-core Xeon whose clock speed varies between runs, a 4e6-gate
-point of a fig6 scan (4 blocks) costs 10-16 us with its seed, closed form
-and fit, of which the 4 rekeys and draws take about 7 us, and a 1e9-gate
-point (954 blocks) 1.2-2.0 ms.
+rekeys one Philox generator for every ``(seed, block)`` pair of the scan
+and returns each point's click count as a plain int; :func:`sample_gates`
+is its one-point case and wraps the count in a :class:`CountSummary`.
+Neither holds state between calls. On a shared 2-core Xeon whose clock
+speed varies between runs, a 4e6-gate point of a fig6 scan (4 blocks)
+costs 11-14 us with its seed, closed form and fit, of which the 4 rekeys
+and draws take 9-10 us, and a 1e9-gate point (954 blocks) about 2.2 ms.
 """
 
 from __future__ import annotations
@@ -86,19 +87,25 @@ class CountSummary:
 
 def click_probability(mean_photons_at_detector: float, spec: DetectorSpec) -> float:
     """Click probability per gate for Poissonian light of the given mean."""
-    mu = float(mean_photons_at_detector)
-    if math.isnan(mu) or mu < 0.0:
-        raise ValueError(f"mean photons must be >= 0, got {mu}")
+    return _click_probabilities([float(mean_photons_at_detector)], spec)[0]
+
+
+def _click_probabilities(means: list[float], spec: DetectorSpec) -> list[float]:
+    """:func:`click_probability` at each mean, the means checked in one pass."""
+    if means and (min(means) < 0.0 or any(map(math.isnan, means))):
+        bad = next(mu for mu in means if not mu >= 0.0)
+        raise ValueError(f"mean photons must be >= 0, got {bad}")
     d = spec.dark_prob_per_gate
+    eta = spec.efficiency
     # 1 - (1-d)*exp(-eta*mu), written via expm1 to keep precision at tiny mu
-    return d + (1.0 - d) * (-math.expm1(-spec.efficiency * mu))
+    return [d + (1.0 - d) * -math.expm1(-eta * mu) for mu in means]
 
 
-def sample_scan(p, spec: DetectorSpec, n_gates: int, seeds) -> list[CountSummary]:
-    """Sample ``n_gates`` gates at each point of a scan.
+def sample_scan(p, n_gates: int, seeds) -> list[int]:
+    """The click count of ``n_gates`` gates at each point of a scan.
 
     Point k clicks with probability ``p[k]`` per gate, and its blocks are
-    keyed by ``(seeds[k], block)``, so each record is the one that point
+    keyed by ``(seeds[k], block)``, so each count is the one that point
     would get alone. One Philox generator per call is rekeyed for every
     ``(seed, block)`` pair.
     """
@@ -130,7 +137,7 @@ def sample_scan(p, spec: DetectorSpec, n_gates: int, seeds) -> list[CountSummary
     blocks = list(enumerate([BLOCK_GATES] * (n_blocks - 1)
                             + [n_gates - (n_blocks - 1) * BLOCK_GATES]))
     binomial = rng.binomial
-    records = []
+    counts = []
     for seed, p_click in zip(seeds, p, strict=True):
         key[0] = seed
         clicks = 0
@@ -138,8 +145,8 @@ def sample_scan(p, spec: DetectorSpec, n_gates: int, seeds) -> list[CountSummary
             key[1] = i
             bit_generator.state = state
             clicks += binomial(gates, p_click)
-        records.append(CountSummary(n_gates, int(clicks), spec.gate_rate_hz))
-    return records
+        counts.append(int(clicks))
+    return counts
 
 
 def sample_gates(
@@ -155,7 +162,7 @@ def sample_gates(
     defines the draws.
     """
     p = click_probability(mean_photons_at_detector, spec)
-    return sample_scan([p], spec, n_gates, [seed])[0]
+    return CountSummary(int(n_gates), sample_scan([p], n_gates, [seed])[0], spec.gate_rate_hz)
 
 
 def dark_subtract(signal: CountSummary, background: CountSummary) -> tuple[float, float]:

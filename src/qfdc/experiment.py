@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 from .detector import (
     CountSummary,
     DetectorSpec,
+    _click_probabilities,
     click_probability,
     dark_subtract,
     derive_seed,  # the per-point definition of derive_seeds; bench/tracer.py patches it here
@@ -93,9 +94,9 @@ class _ClosedForm:
 
     :meth:`rate` evaluates one point and :meth:`grid` a whole scan. Both
     form the signal photons ``mu*eta*t_post`` once per mu and the fringe
-    factor ``(1 + contrast*cos(phi))/2`` once per phi, and :meth:`_point`
-    combines them in one order, so a grid point has the bits of its
-    :meth:`rate`.
+    factor ``(1 + contrast*cos(phi))/2`` once per phi, and combine them in
+    one order, ``signal*fringe + noise``, before the detector's click
+    formula, so a grid point has the bits of its :meth:`rate`.
     """
 
     def __init__(self, params: ChainParams) -> None:
@@ -129,22 +130,18 @@ class _ClosedForm:
         cos_phi = 0.0 if phi is None else math.cos(phi)
         return (1.0 + self.contrast * cos_phi) / 2.0
 
-    def _point(self, signal: float, fringe: float) -> tuple[float, float, float]:
-        """Signal, total photons and click probability per gate at one point."""
-        signal *= fringe
-        total = signal + self.noise
-        return signal, total, click_probability(total, self.detector)
-
     def rate(self, mu: float, phi: float | None) -> ExpectedRate:
-        signal, total, p = self._point(self._signal(mu), self._fringe(phi))
-        return ExpectedRate(signal, self.noise, total, p)
+        signal = self._signal(mu) * self._fringe(phi)
+        total = signal + self.noise
+        return ExpectedRate(signal, self.noise, total, click_probability(total, self.detector))
 
     def grid(self, mus, phis) -> list[float]:
         """The click probability at each (mu, phi), mu-major."""
         fringes = [self._fringe(phi) for phi in phis]
-        point = self._point
-        return [point(signal, fringe)[2] for signal in map(self._signal, mus)
-                for fringe in fringes]
+        noise = self.noise
+        totals = [signal * fringe + noise for signal in map(self._signal, mus)
+                  for fringe in fringes]
+        return _click_probabilities(totals, self.detector)
 
     def visibility(self, mu: float) -> VisibilityPair:
         """The paper's fringe visibility at mu; see :func:`analytic_visibility`."""
@@ -421,7 +418,7 @@ def run_fig4a(
              for p in _ClosedForm(params.at_pump_power(power)).grid([mu, 0.0], [None])]
     # seeds (i, 0) for the signal run and (i, 1) for the signal-off run
     seeds = derive_seeds(seed, np.arange(len(powers))[:, None], np.arange(2)).ravel()
-    records = sample_scan(probs, det, gates_per_point, seeds)
+    records = _records(sample_scan(probs, gates_per_point, seeds), gates_per_point, det)
     raw = records[0::2]
     rows: list[tuple] = []
     for power, sig, bg in zip(powers, raw, records[1::2]):
@@ -472,7 +469,8 @@ def run_fig4b(
     floor, *signal = _ClosedForm(params).grid([0.0, *mus], [None])
     probs = [p for sig in signal for p in (sig, floor)]
     seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2)).ravel()
-    records = sample_scan(probs, params.detector, gates_per_point, seeds)
+    records = _records(sample_scan(probs, gates_per_point, seeds), gates_per_point,
+                       params.detector)
     raw, backgrounds = records[0::2], records[1::2]
     rows = [(mu, sig.p_click, sig.sigma_p, *dark_subtract(sig, bg))
             for mu, sig, bg in zip(mus, raw, backgrounds)]
@@ -511,10 +509,11 @@ def run_fig5(
 
     Fits c0 + c1*cos(phi) and reports the visibility c1/c0 with its
     propagated uncertainty, NaN when the fitted c0 is not positive, plus the
-    dark-subtracted visibility c1/(c0 - p_dark), which is NaN when c0 - p_dark
-    does not exceed the fitted sigma of c0. With ``control=True`` the interferometer is removed from the
-    chain, which should leave no fitted modulation. ``workers`` is accepted
-    for compatibility and has no effect (it must still be >= 1).
+    dark-subtracted visibility c1/(c0 - p_dark), which is NaN when
+    c0 - p_dark does not exceed the fitted sigma of c0. With
+    ``control=True`` the interferometer is removed from the chain, which
+    should leave no fitted modulation. ``workers`` is accepted for
+    compatibility and has no effect (it must still be >= 1).
     """
     import numpy as np
     if workers < 1:
@@ -532,9 +531,10 @@ def run_fig5(
             raise ValueError("fringe scan requires an interferometer in the chain")
         run_params = params
     probs = _ClosedForm(run_params).grid([mu], [None] * phis.size if control else phis.tolist())
-    seeds = derive_seeds(seed, np.arange(phis.size))
-    raw = sample_scan(probs, params.detector, gates_per_point, seeds)
-    fit, = _fringe_fits(phis, [raw], params.detector.dark_prob_per_gate)
+    clicks = sample_scan(probs, gates_per_point, derive_seeds(seed, np.arange(phis.size)))
+    fit, = _fringe_fits(phis, *_click_arrays(clicks, gates_per_point, phis.size),
+                        params.detector.dark_prob_per_gate)
+    raw = _records(clicks, gates_per_point, params.detector)
     return ScanResult(
         columns={
             "phi_rad": [float(p) for p in phis],
@@ -546,14 +546,31 @@ def run_fig5(
     )
 
 
-def _fringe_fits(phis: np.ndarray, scans: list[list[CountSummary]],
-                 dark: float) -> list[dict[str, float]]:
-    """Fit c0 + c1*cos(phi) to the click records of each fringe scan, all
-    over the phases ``phis``, through one :func:`fit_cosine` call."""
+def _click_arrays(clicks: list[int], n_gates: int,
+                  n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The click probabilities of the counts, one row per fringe of
+    ``n_phi`` phases, and their sigmas: :attr:`CountSummary.p_click` and
+    :attr:`CountSummary.sigma_p` as array expressions, which round every
+    operation as they do, bit for bit."""
     import numpy as np
-    shape = (len(scans), len(phis))  # 2-d even without scans
-    fits = fit_cosine(phis, np.reshape([[s.p_click for s in raw] for raw in scans], shape),
-                      np.reshape([[s.sigma_p for s in raw] for raw in scans], shape))
+    n = int(n_gates)
+    # float64 from the start is exact below 2**53 clicks, and an int64 array
+    # would page in numpy's integer division loops (about 0.18 MB of RSS)
+    p = np.array(clicks, dtype=float).reshape(-1, n_phi) / n
+    return p, np.maximum(np.sqrt(p * (1.0 - p) / n), 1.0 / n)
+
+
+def _records(clicks: list[int], n_gates: int, spec: DetectorSpec) -> list[CountSummary]:
+    """The click record of each count, for a driver's ``raw``."""
+    n = int(n_gates)
+    return [CountSummary(n, c, spec.gate_rate_hz) for c in clicks]
+
+
+def _fringe_fits(phis: np.ndarray, p: np.ndarray, sigma: np.ndarray,
+                 dark: float) -> list[dict[str, float]]:
+    """Fit c0 + c1*cos(phi) to each row of click probabilities ``p``, with
+    sigmas ``sigma``, all over the phases ``phis``, through one
+    :func:`fit_cosine` call."""
     return [{
         "c0": fitted.c0,
         "c1": fitted.c1,
@@ -563,7 +580,7 @@ def _fringe_fits(phis: np.ndarray, scans: list[list[CountSummary]],
         "visibility_sigma": fitted.visibility_sigma,
         "visibility_sub": fitted.visibility_dark_subtracted(dark),
         "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark),
-    } for fitted in fits]
+    } for fitted in fit_cosine(phis, p, sigma)]
 
 
 def run_fig6(
@@ -590,8 +607,8 @@ def run_fig6(
     closed_form = _ClosedForm(params)
     probs = closed_form.grid(mus, phis.tolist())
     seeds = derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None], np.arange(n_phi))
-    records = sample_scan(probs, params.detector, gates_per_point, seeds.ravel())
-    fits = _fringe_fits(phis, [records[j * n_phi:(j + 1) * n_phi] for j in range(len(mus))],
+    clicks = sample_scan(probs, gates_per_point, seeds.ravel())
+    fits = _fringe_fits(phis, *_click_arrays(clicks, gates_per_point, n_phi),
                         params.detector.dark_prob_per_gate)
     rows: list[tuple] = []
     for mu, fit in zip(mus, fits):

@@ -207,27 +207,25 @@ class TestSampleScan:
     @example([], 10)
     @settings(max_examples=40, deadline=None)
     def test_each_point_matches_fresh_generator_per_block(self, points, n_gates):
-        records = sample_scan([p for _, p in points], DETECTOR, n_gates, [s for s, _ in points])
-        assert [r.clicks for r in records] == [
-            _reference_clicks(seed, n_gates, p) for seed, p in points
-        ]
-        assert all(r.gates == n_gates and r.gate_rate_hz == 4e6 for r in records)
+        clicks = sample_scan([p for _, p in points], n_gates, [s for s, _ in points])
+        assert clicks == [_reference_clicks(seed, n_gates, p) for seed, p in points]
+        assert all(type(c) is int for c in clicks)
 
     def test_point_is_sample_gates(self):
         points = [(11, 0.2), (12, 5.0), (11, 0.0)]
         probs = [click_probability(mu, DETECTOR) for _, mu in points]
         seeds = np.array([seed for seed, _ in points], dtype=np.uint64)
-        scan = sample_scan(probs, DETECTOR, 2_500_000, seeds)
-        assert scan == [sample_gates(mu, DETECTOR, 2_500_000, seed) for seed, mu in points]
+        scan = sample_scan(probs, 2_500_000, seeds)
+        assert scan == [sample_gates(mu, DETECTOR, 2_500_000, seed).clicks for seed, mu in points]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            sample_scan([0.1, 0.2], DETECTOR, 10, [1])
+            sample_scan([0.1, 0.2], 10, [1])
         with pytest.raises(ValueError):
-            sample_scan([0.1], DETECTOR, 0, [1])
+            sample_scan([0.1], 0, [1])
         for seed in (-1, 2**64):
             with pytest.raises(ValueError):
-                sample_scan([0.1], DETECTOR, 10, [seed])
+                sample_scan([0.1], 10, [seed])
 
 
 class TestDarkSubtract:

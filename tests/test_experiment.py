@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfdc.detector import click_probability, dark_subtract, derive_seed
+from qfdc.detector import CountSummary, click_probability, dark_subtract, derive_seed
 from qfdc.experiment import (
     ChainParams,
     CosineFit,
+    _click_arrays,
     _ClosedForm,
     analytic_visibility,
     chain_point_mean,
@@ -268,6 +269,17 @@ class TestFitHelpers:
         assert math.isnan(fit.visibility_dark_subtracted(2.6e-5))
         assert math.isnan(fit.visibility_dark_subtracted_sigma(2.6e-5))
 
+    def test_dark_subtracted_offset_equal_to_its_sigma(self):
+        # binary-exact values put c0 - dark exactly on c0_sigma: an offset that
+        # does not exceed its sigma is unresolved, and one ulp less sigma
+        # resolves it
+        at = CosineFit(c0=0.5, c1=0.1, c0_sigma=0.25, c1_sigma=0.01, c0c1_cov=0.0)
+        assert math.isnan(at.visibility_dark_subtracted(0.25))
+        assert math.isnan(at.visibility_dark_subtracted_sigma(0.25))
+        below = replace(at, c0_sigma=math.nextafter(0.25, 0.0))
+        assert math.isfinite(below.visibility_dark_subtracted(0.25))
+        assert math.isfinite(below.visibility_dark_subtracted_sigma(0.25))
+
     @pytest.mark.parametrize("c0", [0.0, -1e-6])
     def test_visibility_undefined_at_or_below_zero_offset(self, c0):
         fit = CosineFit(c0=c0, c1=1e-6, c0_sigma=1e-7, c1_sigma=1e-7, c0c1_cov=0.0)
@@ -297,6 +309,18 @@ class TestFitHelpers:
         reference = [_reference_cosine_fit(phis, y.tolist(), sig.tolist())
                      for y, sig in zip(values, sigmas)]
         assert repr(shared) == repr(alone) == repr(reference)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 2**40), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @example(1, [0.0, 1.0])
+    @example(1000, [0.0, 0.001, 0.999, 1.0])  # 0, 1, n-1 and n clicks: the floor
+    def test_click_arrays_are_the_summaries(self, gates, fractions):
+        clicks = [round(f * gates) for f in fractions]
+        p, sigma = _click_arrays(clicks, gates, len(clicks))
+        summaries = [CountSummary(gates, c, 4e6) for c in clicks]
+        assert [v.hex() for v in p[0].tolist()] == [s.p_click.hex() for s in summaries]
+        assert [v.hex() for v in sigma[0].tolist()] == [s.sigma_p.hex() for s in summaries]
+        assert p.shape == sigma.shape == (1, len(clicks))
 
     def test_cosine_fit_of_one_fringe_is_one_fit(self):
         phis = default_phi_grid(8)
@@ -503,9 +527,12 @@ class TestScansMatchPointByPoint:
         )
 
     @pytest.mark.parametrize("seed", _SEEDS)
-    def test_fig6(self, chain, seed):
+    def test_fig6(self, chain, seed, monkeypatch):
         mus, n_phi, gates = [0.0, 0.7, 45.0], 5, 1_200_000
-        scan = run_fig6(chain, mus, n_phi, gates, seed)
+        # the scan is fitted from its click counts, without a record per point
+        with monkeypatch.context() as patch:
+            patch.setattr("qfdc.experiment.CountSummary", None)
+            scan = run_fig6(chain, mus, n_phi, gates, seed)
         phis = default_phi_grid(n_phi)
         dark = chain.detector.dark_prob_per_gate
         for j, mu in enumerate(mus):
