@@ -19,7 +19,6 @@ from .detector import (
     DetectorSpec,
     _click_probabilities,
     click_probability,
-    dark_subtract,
     derive_seed,  # the per-point definition of derive_seeds; bench/tracer.py patches it here
     derive_seeds,
     sample_gates,
@@ -418,23 +417,23 @@ def run_fig4a(
              for p in _ClosedForm(params.at_pump_power(power)).grid([mu, 0.0], [None])]
     # seeds (i, 0) for the signal run and (i, 1) for the signal-off run
     seeds = derive_seeds(seed, np.arange(len(powers))[:, None], np.arange(2)).ravel()
-    records = _records(sample_scan(probs, gates_per_point, seeds), gates_per_point, det)
-    raw = records[0::2]
+    clicks = sample_scan(probs, gates_per_point, seeds)
+    p, sigma = (a.tolist() for a in _click_arrays(clicks, gates_per_point, 2))
     rows: list[tuple] = []
-    for power, sig, bg in zip(powers, raw, records[1::2]):
+    for power, (p_sig, p_bg), (s_sig, s_bg) in zip(powers, p, sigma):
         # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
         # a saturated run (every gate clicked) cannot be inverted, so the
         # estimators that use it are NaN, as is an estimate that overflows or
         # whose sigma does
-        miss_sig = 1.0 - sig.p_click
-        miss_bg = 1.0 - bg.p_click
+        miss_sig = 1.0 - p_sig
+        miss_bg = 1.0 - p_bg
         efficiency = eff_sigma = noise = noise_sigma = math.nan
         if miss_bg > 0.0:
             noise = math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / noise_denom
-            noise_sigma = bg.sigma_p / (miss_bg * noise_denom)
+            noise_sigma = s_bg / (miss_bg * noise_denom)
             if miss_sig > 0.0:
                 efficiency = math.log(miss_bg / miss_sig) / eff_denom
-                eff_sigma = math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg) / eff_denom
+                eff_sigma = math.hypot(s_sig / miss_sig, s_bg / miss_bg) / eff_denom
         rows.append((power * 1e3, *_estimate(efficiency, eff_sigma),
                      *_estimate(noise, noise_sigma)))
     columns = _table(
@@ -450,7 +449,8 @@ def run_fig4a(
             [columns["noise_sigma"][i] for i in fitted],
         )
         fit = {"noise_slope_per_w": slope, "noise_slope_sigma": slope_sigma}
-    return ScanResult(columns=columns, fit=fit, raw=raw)
+    return ScanResult(columns=columns, fit=fit,
+                      raw=_records(clicks[0::2], gates_per_point, det))
 
 
 def run_fig4b(
@@ -469,11 +469,11 @@ def run_fig4b(
     floor, *signal = _ClosedForm(params).grid([0.0, *mus], [None])
     probs = [p for sig in signal for p in (sig, floor)]
     seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2)).ravel()
-    records = _records(sample_scan(probs, gates_per_point, seeds), gates_per_point,
-                       params.detector)
-    raw, backgrounds = records[0::2], records[1::2]
-    rows = [(mu, sig.p_click, sig.sigma_p, *dark_subtract(sig, bg))
-            for mu, sig, bg in zip(mus, raw, backgrounds)]
+    clicks = sample_scan(probs, gates_per_point, seeds)
+    p, sigma = (a.tolist() for a in _click_arrays(clicks, gates_per_point, 2))
+    # the signal run less the signal-off run, as dark_subtract does for one pair
+    rows = [(mu, p_sig, s_sig, p_sig - p_bg, math.hypot(s_sig, s_bg))
+            for mu, (p_sig, p_bg), (s_sig, s_bg) in zip(mus, p, sigma)]
     columns = _table(("mu", "p_raw", "p_raw_sigma", "p_subtracted", "p_subtracted_sigma"), rows)
     slope, slope_sigma = fit_through_origin(
         mus, columns["p_subtracted"], columns["p_subtracted_sigma"])
@@ -483,9 +483,9 @@ def run_fig4b(
         fit={
             "slope": slope,
             "slope_sigma": slope_sigma,
-            "floor_mean": float(np.mean([bg.p_click for bg in backgrounds])),
+            "floor_mean": float(np.mean([p_bg for _, p_bg in p])),
         },
-        raw=raw,
+        raw=_records(clicks[0::2], gates_per_point, params.detector),
     )
 
 
@@ -532,31 +532,44 @@ def run_fig5(
         run_params = params
     probs = _ClosedForm(run_params).grid([mu], [None] * phis.size if control else phis.tolist())
     clicks = sample_scan(probs, gates_per_point, derive_seeds(seed, np.arange(phis.size)))
-    fit, = _fringe_fits(phis, *_click_arrays(clicks, gates_per_point, phis.size),
-                        params.detector.dark_prob_per_gate)
-    raw = _records(clicks, gates_per_point, params.detector)
+    p, sigma = _click_arrays(clicks, gates_per_point, phis.size)
+    fitted, = fit_cosine(phis, p, sigma)
+    dark = params.detector.dark_prob_per_gate
+    rate_hz = params.detector.gate_rate_hz
     return ScanResult(
         columns={
-            "phi_rad": [float(p) for p in phis],
-            "rate_per_s": [s.rate_per_s for s in raw],
-            "rate_sigma": [s.sigma_p * s.gate_rate_hz for s in raw],
+            "phi_rad": phis.tolist(),
+            "rate_per_s": (p[0] * rate_hz).tolist(),
+            "rate_sigma": (sigma[0] * rate_hz).tolist(),
         },
-        fit={**fit, "control": 1.0 if control else 0.0},
-        raw=raw,
+        fit={
+            "c0": fitted.c0,
+            "c1": fitted.c1,
+            "c0_sigma": fitted.c0_sigma,
+            "c1_sigma": fitted.c1_sigma,
+            "visibility": fitted.visibility,
+            "visibility_sigma": fitted.visibility_sigma,
+            "visibility_sub": fitted.visibility_dark_subtracted(dark),
+            "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark),
+            "control": 1.0 if control else 0.0,
+        },
+        raw=_records(clicks, gates_per_point, params.detector),
     )
 
 
 def _click_arrays(clicks: list[int], n_gates: int,
-                  n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The click probabilities of the counts, one row per fringe of
-    ``n_phi`` phases, and their sigmas: :attr:`CountSummary.p_click` and
-    :attr:`CountSummary.sigma_p` as array expressions, which round every
-    operation as they do, bit for bit."""
+                  n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The click probability of each count and its sigma, in rows of
+    ``n_cols``: a fringe's phases (fig5, fig6) or a point's signal and
+    signal-off runs (fig4a, fig4b). Every driver estimates from these;
+    they are :attr:`CountSummary.p_click` and :attr:`CountSummary.sigma_p`
+    as array expressions, which round every operation as they do, bit for
+    bit, so records are built only for a driver's ``raw``."""
     import numpy as np
     n = int(n_gates)
     # float64 from the start is exact below 2**53 clicks, and an int64 array
     # would page in numpy's integer division loops (about 0.18 MB of RSS)
-    p = np.array(clicks, dtype=float).reshape(-1, n_phi) / n
+    p = np.array(clicks, dtype=float).reshape(-1, n_cols) / n
     return p, np.maximum(np.sqrt(p * (1.0 - p) / n), 1.0 / n)
 
 
@@ -564,23 +577,6 @@ def _records(clicks: list[int], n_gates: int, spec: DetectorSpec) -> list[CountS
     """The click record of each count, for a driver's ``raw``."""
     n = int(n_gates)
     return [CountSummary(n, c, spec.gate_rate_hz) for c in clicks]
-
-
-def _fringe_fits(phis: np.ndarray, p: np.ndarray, sigma: np.ndarray,
-                 dark: float) -> list[dict[str, float]]:
-    """Fit c0 + c1*cos(phi) to each row of click probabilities ``p``, with
-    sigmas ``sigma``, all over the phases ``phis``, through one
-    :func:`fit_cosine` call."""
-    return [{
-        "c0": fitted.c0,
-        "c1": fitted.c1,
-        "c0_sigma": fitted.c0_sigma,
-        "c1_sigma": fitted.c1_sigma,
-        "visibility": fitted.visibility,
-        "visibility_sigma": fitted.visibility_sigma,
-        "visibility_sub": fitted.visibility_dark_subtracted(dark),
-        "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark),
-    } for fitted in fit_cosine(phis, p, sigma)]
 
 
 def run_fig6(
@@ -608,15 +604,14 @@ def run_fig6(
     probs = closed_form.grid(mus, phis.tolist())
     seeds = derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None], np.arange(n_phi))
     clicks = sample_scan(probs, gates_per_point, seeds.ravel())
-    fits = _fringe_fits(phis, *_click_arrays(clicks, gates_per_point, n_phi),
-                        params.detector.dark_prob_per_gate)
+    dark = params.detector.dark_prob_per_gate
     rows: list[tuple] = []
-    for mu, fit in zip(mus, fits):
+    for mu, fitted in zip(mus, fit_cosine(phis, *_click_arrays(clicks, gates_per_point, n_phi))):
         curve = closed_form.visibility(mu)
-        detectable = fit["visibility"] > 3.0 * fit["visibility_sigma"]
-        rows.append((mu, fit["visibility"], fit["visibility_sigma"], fit["visibility_sub"],
-                     fit["visibility_sub_sigma"], curve.raw, curve.subtracted,
-                     1.0 if detectable else 0.0))
+        v, v_sigma = fitted.visibility, fitted.visibility_sigma
+        rows.append((mu, v, v_sigma, fitted.visibility_dark_subtracted(dark),
+                     fitted.visibility_dark_subtracted_sigma(dark), curve.raw, curve.subtracted,
+                     1.0 if v > 3.0 * v_sigma else 0.0))
     columns = _table(("mu", "v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma", "v_analytic",
                       "v_analytic_sub", "detectable"), rows)
     detected = [m for m, flag in zip(mus, columns["detectable"]) if flag > 0.0]

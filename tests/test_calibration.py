@@ -150,6 +150,18 @@ class TestInfeasibility:
         assert 0.0 < result.transmission_product <= 1.0
         assert result.predictions["conversion_efficiency"] == pytest.approx(0.0035, rel=1e-9)
 
+    def test_zero_noise_is_feasible(self):
+        # targets whose solution has exactly zero converter noise: the
+        # boundary of the negative-noise check, which zero does not trip
+        edge = CalibrationTargets(
+            visibility_raw=0.375, visibility_subtracted=0.875, mu_fringe=0.5, mu_high=2.0,
+            visibility_high_mu=0.6562500000000001,
+        )
+        result = calibrate(edge)
+        assert result.feasible
+        assert result.message == ""
+        assert result.noise_coeff_beta == 0.0
+
     @pytest.mark.parametrize(
         "targets, context",
         [(CalibrationTargets(pump_power_w=1e-320), None),

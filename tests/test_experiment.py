@@ -10,6 +10,7 @@ from qfdc.detector import CountSummary, click_probability, dark_subtract, derive
 from qfdc.experiment import (
     ChainParams,
     CosineFit,
+    ScanResult,
     _click_arrays,
     _ClosedForm,
     analytic_visibility,
@@ -397,6 +398,30 @@ class TestScenarioDrivers:
         with pytest.raises(ValueError):
             run_fig4a(chain, [0.027])
 
+    def test_fig4a_rejects_zero_mu(self, bare_chain):
+        # mu = 0 also leaves no signal to invert; the error names mu
+        with pytest.raises(ValueError, match="mu must be > 0"):
+            run_fig4a(bare_chain, [0.027], mu=0.0)
+
+    def test_fig4a_fits_no_slope_without_a_positive_power(self, bare_chain):
+        assert run_fig4a(bare_chain, [0.0], gates_per_point=1000).fit == {}
+
+    def test_fig6_detects_only_above_three_sigma(self, chain, monkeypatch):
+        # run_fig6 fits through the module's fit_cosine, which the bench
+        # tracer wraps; a visibility of exactly three sigmas is not detected
+        at = CosineFit(c0=1.0, c1=0.75, c0_sigma=0.0, c1_sigma=0.25, c0c1_cov=0.0)
+        above = replace(at, c1_sigma=0.2499)
+        assert at.visibility == 3.0 * at.visibility_sigma
+        monkeypatch.setattr("qfdc.experiment.fit_cosine", lambda phis, p, sigma: [at, above])
+        scan = run_fig6(chain, [0.7, 45.0], 4, 1000)
+        assert scan.columns["detectable"] == [0.0, 1.0]
+        assert scan.fit["smallest_detectable_mu"] == 45.0
+
+    def test_scan_result_admits_zero_sigma_only(self):
+        assert ScanResult({"x": [1.0], "x_sigma": [0.0]}).columns["x_sigma"] == [0.0]
+        with pytest.raises(ValueError, match="negative sigmas"):
+            ScanResult({"x": [1.0], "x_sigma": [-1e-300]})
+
     def test_fig4b_smoke(self, bare_chain):
         scan = run_fig4b(bare_chain, [0.3, 1.0, 10.0], gates_per_point=10_000_000, seed=6)
         cols = scan.columns
@@ -496,6 +521,13 @@ class TestScansMatchPointByPoint:
             assert scan.columns["noise_per_gate"][i] == (
                 math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / (det.efficiency * t_post)
             )
+            assert scan.columns["eff_sigma"][i] == (
+                math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg)
+                / (det.efficiency * mu * t_post)
+            )
+            assert scan.columns["noise_sigma"][i] == (
+                bg.sigma_p / (miss_bg * (det.efficiency * t_post))
+            )
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_fig4b(self, bare_chain, seed):
@@ -520,11 +552,30 @@ class TestScansMatchPointByPoint:
             for i, phi in enumerate(phis)
         ]
         assert scan.raw == raw
+        assert scan.columns["rate_per_s"] == [s.rate_per_s for s in raw]
+        assert scan.columns["rate_sigma"] == [s.sigma_p * s.gate_rate_hz for s in raw]
         fit = fit_cosine(phis, np.array([s.p_click for s in raw]),
                          np.array([s.sigma_p for s in raw]))
         assert (scan.fit["c0"], scan.fit["c1"], scan.fit["visibility"]) == (
             fit.c0, fit.c1, fit.visibility
         )
+
+    @pytest.mark.parametrize("driver", [run_fig4a, run_fig4b])
+    def test_fig4_records_only_the_signal_runs(self, bare_chain, driver, monkeypatch):
+        # the estimates come from the click arrays; the signal-off runs get
+        # no record, so raw's records are the only ones built
+        built = []
+
+        class Counting(CountSummary):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr("qfdc.experiment.CountSummary", Counting)
+        grid = [0.0, 0.0135, 0.027] if driver is run_fig4a else [0.0, 0.3, 10.0]
+        scan = driver(bare_chain, grid, gates_per_point=100_000)
+        assert len(built) == len(grid)
+        assert scan.raw == built
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_fig6(self, chain, seed, monkeypatch):
@@ -608,6 +659,11 @@ class TestChainParams:
             dataclasses.replace(chain, post_converter_transmission=1.5)
         with pytest.raises(ValueError):
             dataclasses.replace(chain, intrinsic_visibility_v0=-0.1)
+
+    @pytest.mark.parametrize("name", ["post_converter_transmission", "intrinsic_visibility_v0"])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_bounds_are_closed(self, chain, name, value):
+        assert getattr(replace(chain, **{name: value}), name) == value
 
     def test_without_interferometer(self, chain):
         bare = chain.without_interferometer()
