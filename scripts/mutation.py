@@ -8,11 +8,12 @@ Each mutant swaps one operator of the module: ``+``/``-``, ``*``/``/``,
 ``ast``; only the operator's characters change, so line numbers hold). The
 tree is copied once to a temporary directory, and each mutant is written
 into the copy and tested there, one after another, with
-``python -m pytest -x -q``; the working tree is never touched. Tests that
-already fail on the unmutated copy are deselected, so a mutant counts as
-killed when some other test fails or the run exceeds ``--timeout``. The
-report holds the score and every survivor. Uses the standard library only
-and gates nothing.
+``python -m pytest -x -q``; the working tree is never touched, and a
+module outside it is refused. Tests that already fail or error on the
+unmutated copy are deselected, and the study stops unless the copy then
+passes, so a mutant counts as killed when some other test fails or the run
+exceeds ``TIMEOUT_S``. The report holds the score and every survivor. Uses
+the standard library only and gates nothing.
 """
 
 import argparse
@@ -32,6 +33,7 @@ from pathlib import Path
 SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120.0  # per mutant; a run that exceeds it counts as killed
 
 
 def sites(source: str) -> list[tuple[int, int, str]]:
@@ -82,33 +84,41 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="path of the module to mutate, relative to the repo root")
     parser.add_argument("--out", default="MUTATION.json", help="report path")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
     args = parser.parse_args()
-    source = (ROOT / args.module).read_text()
+    path = (ROOT / args.module).resolve()
+    if not (path.is_relative_to(ROOT) and path.is_file()):
+        parser.error(f"{args.module} is not a file in {ROOT}")
+    module = path.relative_to(ROOT)
+    source = path.read_text()
     todo = sites(source)
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
-        target = copy / args.module
-        base = run_pytest(copy, ["-rf"], None)
-        failing = re.findall(r"^FAILED (\S+)", base.stdout, re.M)
+        target = copy / module
+        base = run_pytest(copy, ["-rfE"], None)
+        failing = re.findall(r"^(?:FAILED|ERROR) (\S+)", base.stdout, re.M)
         deselect = [arg for test in failing for arg in ("--deselect", test)]
+        check = run_pytest(copy, deselect, None)
+        if check.returncode != 0:
+            print(check.stdout[-4000:], f"the unmutated copy fails with {failing} deselected",
+                  sep="\n", file=sys.stderr)
+            return 1
         print(f"{len(todo)} mutants; deselected {failing}", file=sys.stderr)
         survivors, timeouts, start = [], 0, time.perf_counter()
         for k, (line, col, op) in enumerate(todo, 1):
             target.write_text(mutate(source, line, col, op))
             try:
-                killed = run_pytest(copy, ["-x", *deselect], args.timeout).returncode != 0
+                killed = run_pytest(copy, ["-x", *deselect], TIMEOUT_S).returncode != 0
             except subprocess.TimeoutExpired:
                 killed, timeouts = True, timeouts + 1
             if not killed:
                 survivors.append({"line": line, "col": col, "from": op, "to": SWAPS[op],
                                   "code": source.splitlines()[line - 1].strip()})
-            print(f"[{k}/{len(todo)}] {args.module}:{line}:{col} {op} -> {SWAPS[op]}: "
+            print(f"[{k}/{len(todo)}] {module}:{line}:{col} {op} -> {SWAPS[op]}: "
                   f"{'killed' if killed else 'SURVIVED'}", file=sys.stderr)
     report = {
-        "module": args.module,
+        "module": str(module),
         "mutants": len(todo),
         "killed": len(todo) - len(survivors),
         "timeouts": timeouts,
