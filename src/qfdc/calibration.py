@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .detector import DetectorSpec
+from .detector import DetectorSpec, click_probability
 from .experiment import ChainParams, analytic_visibility, expected_rate
 from .interferometer import InterferometerSpec, suppress_background
 from .mixer import (
@@ -199,15 +199,15 @@ def _predict(
     """Forward model: the six observables for a given parameter set."""
     chain = calibrated_chain(result, targets, context)
     bare = chain.without_interferometer()
-    high = analytic_visibility(targets.mu_high, chain)
-    fringe = analytic_visibility(targets.mu_fringe, chain)
+    high, _ = analytic_visibility(targets.mu_high, chain)
+    fringe_raw, fringe_sub = analytic_visibility(targets.mu_fringe, chain)
     return {
         "conversion_efficiency": conversion_efficiency(chain.converter),
-        "floor_bare": expected_rate(0.0, None, bare).click_probability,
-        "floor_interferometer": expected_rate(0.0, None, chain).click_probability,
-        "visibility_high_mu": high.raw,
-        "visibility_raw": fringe.raw,
-        "visibility_subtracted": fringe.subtracted,
+        "floor_bare": click_probability(expected_rate(0.0, None, bare), chain.detector),
+        "floor_interferometer": click_probability(expected_rate(0.0, None, chain), chain.detector),
+        "visibility_high_mu": high,
+        "visibility_raw": fringe_raw,
+        "visibility_subtracted": fringe_sub,
     }
 
 

@@ -61,8 +61,13 @@ def _check_keys(section: dict, allowed, path: str) -> None:
 
 
 def _is_finite_number(value) -> bool:
-    # Python's json accepts NaN and +-Infinity
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # Python's json accepts NaN and +-Infinity, and integers of any size
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _number(section: dict, key: str, default, path: str, minimum=None, above=None,

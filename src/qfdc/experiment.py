@@ -18,7 +18,6 @@ from .detector import (
     CountSummary,
     DetectorSpec,
     _click_probabilities,
-    click_probability,
     derive_seed,  # the per-point definition of derive_seeds; bench/tracer.py patches it here
     derive_seeds,
     sample_gates,
@@ -77,25 +76,14 @@ class ChainParams:
         return replace(self, converter=replace(self.converter, pump_power_w=pump_power_w))
 
 
-@dataclass(frozen=True)
-class ExpectedRate:
-    """Analytic per-gate means at the detector input, plus the click probability."""
-
-    signal_photons: float
-    noise_photons: float
-    mean_photons: float
-    click_probability: float
-
-
 class _ClosedForm:
     """The per-chain factors of :func:`expected_rate` and
     :func:`analytic_visibility`, formed once per scan.
 
-    :meth:`rate` evaluates one point and :meth:`grid` a whole scan. Both
-    form the signal photons ``mu*eta*t_post`` once per mu and the fringe
-    factor ``(1 + contrast*cos(phi))/2`` once per phi, and combine them in
-    one order, ``signal*fringe + noise``, before the detector's click
-    formula, so a grid point has the bits of its :meth:`rate`.
+    :meth:`means` forms the signal photons ``mu*eta*t_post`` once per mu
+    and the fringe factor ``(1 + contrast*cos(phi))/2`` once per phi, and
+    combines them as ``signal*fringe + noise``; a point and a scan share
+    that one path, and :meth:`grid` applies the detector's click formula.
     """
 
     def __init__(self, params: ChainParams) -> None:
@@ -129,20 +117,18 @@ class _ClosedForm:
         cos_phi = 0.0 if phi is None else math.cos(phi)
         return (1.0 + self.contrast * cos_phi) / 2.0
 
-    def rate(self, mu: float, phi: float | None) -> ExpectedRate:
-        signal = self._signal(mu) * self._fringe(phi)
-        total = signal + self.noise
-        return ExpectedRate(signal, self.noise, total, click_probability(total, self.detector))
+    def means(self, mus, phis) -> list[float]:
+        """The mean photons per gate at the detector at each (mu, phi), mu-major."""
+        fringes = [self._fringe(phi) for phi in phis]
+        noise = self.noise
+        return [signal * fringe + noise for signal in map(self._signal, mus)
+                for fringe in fringes]
 
     def grid(self, mus, phis) -> list[float]:
         """The click probability at each (mu, phi), mu-major."""
-        fringes = [self._fringe(phi) for phi in phis]
-        noise = self.noise
-        totals = [signal * fringe + noise for signal in map(self._signal, mus)
-                  for fringe in fringes]
-        return _click_probabilities(totals, self.detector)
+        return _click_probabilities(self.means(mus, phis), self.detector)
 
-    def visibility(self, mu: float) -> VisibilityPair:
+    def visibility(self, mu: float) -> tuple[float, float]:
         """The paper's fringe visibility at mu; see :func:`analytic_visibility`."""
         if self.contrast is None:
             raise ValueError("analytic_visibility requires an interferometer in the chain")
@@ -152,31 +138,27 @@ class _ClosedForm:
         s_clicks = det.efficiency * mu * self.eta * self.t_post
         b_noise = det.efficiency * self.noise
         if s_clicks == 0.0:
-            return VisibilityPair(0.0, 0.0)
+            return 0.0, 0.0
         raw = s_clicks * self.contrast / (s_clicks + 2.0 * (b_noise + det.dark_prob_per_gate))
         sub = s_clicks * self.contrast / (s_clicks + 2.0 * b_noise)
-        return VisibilityPair(raw, sub)
+        return raw, sub
 
 
-def expected_rate(mu: float, phi: float | None, params: ChainParams) -> ExpectedRate:
-    """Closed-form per-gate signal, background and click probability.
+def expected_rate(mu: float, phi: float | None, params: ChainParams) -> float:
+    """Closed-form mean photons per gate at the detector: signal plus background.
 
     ``phi`` is the alternating phase-modulation depth; ``None`` means the
     phi-averaged fringe (factor 1/2) when an interferometer is present.
-    Detector efficiency is applied exactly once, inside the click model;
-    all upstream factors are photon-number transmissions.
+    All factors are photon-number transmissions; the detector efficiency
+    enters only the click model, ``click_probability(expected_rate(...),
+    params.detector)``.
     """
-    return _ClosedForm(params).rate(mu, phi)
+    return _ClosedForm(params).means([mu], [phi])[0]
 
 
-@dataclass(frozen=True)
-class VisibilityPair:
-    raw: float
-    subtracted: float
-
-
-def analytic_visibility(mu: float, params: ChainParams) -> VisibilityPair:
-    """Fringe visibility predicted from the signal-to-background ratio.
+def analytic_visibility(mu: float, params: ChainParams) -> tuple[float, float]:
+    """Fringe visibility predicted from the signal-to-background ratio, as
+    the pair ``(raw, subtracted)``.
 
     With S the constructive-port signal clicks/gate (fringe peak for a
     perfect fringe) and B the flat background clicks/gate, the fitted
@@ -226,8 +208,7 @@ def simulate_point(
 ) -> CountSummary:
     """Monte Carlo click record for one scenario point, sampled at the
     closed-form mean of :func:`expected_rate` (``phi=None``: the phi average)."""
-    mean = expected_rate(mu, phi, params).mean_photons
-    return sample_gates(mean, params.detector, n_gates, seed)
+    return sample_gates(expected_rate(mu, phi, params), params.detector, n_gates, seed)
 
 
 # --- fitting helpers -------------------------------------------------------
@@ -607,10 +588,9 @@ def run_fig6(
     dark = params.detector.dark_prob_per_gate
     rows: list[tuple] = []
     for mu, fitted in zip(mus, fit_cosine(phis, *_click_arrays(clicks, gates_per_point, n_phi))):
-        curve = closed_form.visibility(mu)
         v, v_sigma = fitted.visibility, fitted.visibility_sigma
         rows.append((mu, v, v_sigma, fitted.visibility_dark_subtracted(dark),
-                     fitted.visibility_dark_subtracted_sigma(dark), curve.raw, curve.subtracted,
+                     fitted.visibility_dark_subtracted_sigma(dark), *closed_form.visibility(mu),
                      1.0 if v > 3.0 * v_sigma else 0.0))
     columns = _table(("mu", "v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma", "v_analytic",
                       "v_analytic_sub", "detectable"), rows)

@@ -4,12 +4,14 @@ import math
 import pytest
 
 from qfdc.calibration import (
+    RESIDUAL_TOLERANCES,
     CalibrationContext,
     CalibrationResult,
     CalibrationTargets,
     calibrate,
     residuals_within_tolerance,
 )
+from qfdc.detector import DetectorSpec
 
 # Frozen outputs of an independent numeric oracle: the three-visibility
 # system solved with scipy.optimize.brentq at 50-digit intermediate
@@ -95,6 +97,12 @@ class TestCalibrate:
     def test_within_tolerance(self, calibration, targets):
         assert residuals_within_tolerance(calibration, targets)
 
+    def test_residual_equal_to_its_tolerance_is_within(self, calibration, targets):
+        residuals = dict.fromkeys(calibration.residuals, 0.0)
+        residuals["visibility_high_mu"] = RESIDUAL_TOLERANCES["visibility_high_mu"][1]
+        at_edge = dataclasses.replace(calibration, residuals=residuals)
+        assert residuals_within_tolerance(at_edge, targets)
+
     def test_round_trip(self, calibration, targets):
         # generate targets from the fitted model, re-calibrate, recover exactly
         p = calibration.predictions
@@ -162,6 +170,51 @@ class TestInfeasibility:
         assert result.message == ""
         assert result.noise_coeff_beta == 0.0
 
+    def test_fitted_value_at_its_upper_bound_is_feasible(self):
+        # a conversion target equal to the internal conversion pins the system
+        # transmission to exactly 1, the closed upper end of its bounds
+        eta_int = math.sin(math.sqrt(2.0 * 0.027)) ** 2
+        result = calibrate(CalibrationTargets(conversion_efficiency=eta_int))
+        assert result.system_transmission == 1.0
+        assert result.feasible
+        assert result.message == ""
+
+    def test_negative_zero_signal_reports_positive_zero(self):
+        # a subnormal dark rate: D underflows to 0, so S = -2*dark/(k - 1)
+        # rounds to -0.0, which is not a signal level; the report's
+        # transmission is the bound, +0.0, never -0.0
+        result = calibrate(
+            CalibrationTargets(visibility_raw=0.25, visibility_subtracted=0.5, mu_fringe=0.5,
+                               mu_high=5e5, visibility_high_mu=0.5),
+            CalibrationContext(detector=DetectorSpec(dark_prob_per_gate=5e-324)),
+        )
+        assert not result.feasible
+        assert "too large" in result.message
+        assert math.copysign(1.0, result.transmission_product) == 1.0
+
+    @pytest.mark.parametrize(
+        "targets, context, message",
+        [(CalibrationTargets(visibility_raw=0.5, visibility_subtracted=0.5), None,
+          "must exceed the raw visibility"),
+         (CalibrationTargets(mu_high=0.7), None, "mu_high must exceed mu_fringe"),
+         (None, CalibrationContext(eta_nor_per_w=0.0), "zero internal conversion"),
+         # D = 2*dark = 0.25 and k = 2, so S = k*v_sub*D/v_high - D - 2*dark is exactly 0
+         (CalibrationTargets(visibility_raw=0.25, visibility_subtracted=0.5, mu_fringe=0.5,
+                             mu_high=1.0, visibility_high_mu=0.5),
+          CalibrationContext(detector=DetectorSpec(dark_prob_per_gate=0.125)), "too large"),
+         # the signal scale, 0.1 * 1e-30 * 1e-300, underflows to 0
+         (CalibrationTargets(conversion_efficiency=1e-300, mu_fringe=1e-30), None,
+          "its scale factor underflows")],
+        ids=["equal-visibility-pair", "equal-mu", "zero-conversion", "zero-signal",
+             "zero-signal-scale"],
+    )
+    def test_boundary_targets_are_infeasible(self, targets, context, message):
+        # each case sits exactly on its check's boundary, where the solve
+        # past the check would divide by zero
+        result = calibrate(targets, context)
+        assert not result.feasible
+        assert message in result.message
+
     @pytest.mark.parametrize(
         "targets, context",
         [(CalibrationTargets(pump_power_w=1e-320), None),
@@ -194,10 +247,19 @@ class TestCalibratedChain:
         from qfdc.mixer import conversion_efficiency
 
         assert conversion_efficiency(chain.converter) == pytest.approx(0.0035, rel=1e-12)
-        assert analytic_visibility(143.0, chain).raw == pytest.approx(0.94, abs=1e-12)
+        assert analytic_visibility(143.0, chain)[0] == pytest.approx(0.94, abs=1e-12)
         pair = analytic_visibility(0.7, chain)
-        assert pair.raw == pytest.approx(0.379, abs=1e-12)
-        assert pair.subtracted == pytest.approx(0.721, abs=1e-12)
+        assert pair[0] == pytest.approx(0.379, abs=1e-12)
+        assert pair[1] == pytest.approx(0.721, abs=1e-12)
+
+
+class TestContextValidation:
+    @pytest.mark.parametrize("detector", [DetectorSpec(efficiency=0.0),
+                                          DetectorSpec(dark_prob_per_gate=1.0)],
+                             ids=["blind", "always-clicks"])
+    def test_rejects_a_detector_with_nothing_to_measure(self, detector):
+        with pytest.raises(ValueError, match="efficiency > 0 and dark_prob_per_gate < 1"):
+            CalibrationContext(detector=detector)
 
 
 class TestTargetsValidation:

@@ -67,6 +67,16 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 1
 
+    def test_maxima_are_inclusive(self, tmp_path):
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["scenarios"]["fig6"]["n_phi"] = 1024
+        raw["scenarios"]["fig4b"]["gates_per_point"] = 1e12
+        config.write_text(json.dumps(raw))
+        assert main(["validate", str(config)]) == 0
+        scenarios = load_config(config).scenarios
+        assert (scenarios["fig6"].n_phi, scenarios["fig4b"].gates_per_point) == (1024, 10**12)
+
     def test_incomplete_chain_section(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"chain": {"system_transmission": 0.066}}))
@@ -83,6 +93,24 @@ def _set(path: str, value):
             section = section[key]
         section[leaf] = value
     return apply
+
+
+def _get(config: dict, path: str):
+    """The value at the dotted key ``path``."""
+    for key in path.split("."):
+        config = config[key]
+    return config
+
+
+def _numeric_keys(section: dict, prefix: str = "") -> list[str]:
+    """The dotted path of every number or list of numbers in a config."""
+    keys = []
+    for key, value in section.items():
+        if isinstance(value, dict):
+            keys += _numeric_keys(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float, list)) and not isinstance(value, bool):
+            keys.append(prefix + key)
+    return keys
 
 
 def _apparatus(values: dict):
@@ -142,6 +170,7 @@ class TestNumbersExitOne:
             (_set("scenarios.fig4b.gates_per_point", 1_000_000.5), ["validate"]),
             (_set("scenarios.fig4a.gates_per_point", 10**12 + 1), ["validate"]),
             (_set("scenarios.fig6.n_phi", 1025), ["validate"]),
+            (_set("scenarios.fig4a.mu", 0.0), ["validate"]),  # the bound is exclusive
             (_set("targets.pump_power_w", True), ["validate"]),
             (_set("targets.mu_fringe", "0.7"), ["validate"]),
             (_set("apparatus.detector.efficiency", True), ["validate"]),
@@ -161,6 +190,7 @@ class TestNumbersExitOne:
         ids=[
             "seed-nan", "seed-inf", "seed-fractional", "mu-nan", "grid-inf",
             "n_phi-fractional", "gates-fractional", "gates-above-1e12", "n_phi-above-1024",
+            "fig4a-mu-zero",
             "targets-boolean", "targets-string", "detector-boolean", "detector-string",
             "chain-nan", "chain-out-of-range", "apparatus-nan",
             "cli-seed-negative", "no-light-fig4a", "noise-scale-underflow",
@@ -179,6 +209,19 @@ class TestNumbersExitOne:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", _numeric_keys(json.loads(REPO_CONFIG.read_text())))
+    def test_integer_beyond_float_range(self, tmp_path, capsys, key):
+        # json reads integers of any size; this one does not convert to a float
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        huge = 10**400
+        _set(key, [huge] if isinstance(_get(raw, key), list) else huge)(raw)
+        config.write_text(json.dumps(raw))
+        for argv in (["validate"], ["calibrate"]):
+            assert main(argv + [str(config)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and repr(key.rsplit(".", 1)[-1]) in err
 
 
 class TestCalibrateCommand:
@@ -255,6 +298,13 @@ class TestRunCommand:
         main(["run", "fig5", str(config), "--out", str(a)])
         main(["run", "fig5", str(config), "--seed", "7", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+    def test_seed_zero_is_a_seed(self, tmp_path):
+        config = _fast_config(tmp_path)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["run", "fig5", str(config), "--seed", "0", "--out", str(a)]) == 0
+        main(["run", "fig5", str(_fast_config(tmp_path, seed=0)), "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
 
     def test_control_flag(self, tmp_path, capsys):
         config = _fast_config(tmp_path)

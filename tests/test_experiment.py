@@ -29,31 +29,36 @@ from qfdc.interferometer import suppress_background
 from qfdc.mixer import conversion_efficiency, noise_background
 
 
+def _signal_photons(mu: float, phi: float | None, params: ChainParams) -> float:
+    """The signal part of the closed-form mean: the mean less its background."""
+    return expected_rate(mu, phi, params) - expected_rate(0.0, phi, params)
+
+
 class TestExpectedRate:
     def test_bare_floor(self, bare_chain):
         # frozen from the calibrated parameters: the bare-chain noise floor
-        rate = expected_rate(0.0, None, bare_chain)
-        assert rate.click_probability == pytest.approx(7.167733268298448e-05, rel=1e-9)
-        assert rate.signal_photons == 0.0
+        mean = expected_rate(0.0, None, bare_chain)
+        assert click_probability(mean, bare_chain.detector) == pytest.approx(
+            7.167733268298448e-05, rel=1e-9)
+        assert _signal_photons(0.0, None, bare_chain) == 0.0
 
     def test_interferometer_floor(self, chain):
-        rate = expected_rate(0.0, None, chain)
-        assert rate.click_probability == pytest.approx(3.287350251512944e-05, rel=1e-9)
+        mean = expected_rate(0.0, None, chain)
+        assert click_probability(mean, chain.detector) == pytest.approx(
+            3.287350251512944e-05, rel=1e-9)
 
     def test_rejects_phi_without_interferometer(self, bare_chain):
         with pytest.raises(ValueError):
             expected_rate(0.7, 0.0, bare_chain)
 
     def test_signal_linear_in_mu(self, chain):
-        base = expected_rate(1.0, 0.3, chain).signal_photons
+        base = _signal_photons(1.0, 0.3, chain)
         for mu in (0.01, 0.7, 125.0):
-            assert expected_rate(mu, 0.3, chain).signal_photons == pytest.approx(
-                mu * base, rel=1e-12
-            )
+            assert _signal_photons(mu, 0.3, chain) == pytest.approx(mu * base, rel=1e-12)
 
     def test_phi_average_is_half_of_peak(self, chain):
-        peak = expected_rate(1.0, 0.0, chain).signal_photons
-        averaged = expected_rate(1.0, None, chain).signal_photons
+        peak = _signal_photons(1.0, 0.0, chain)
+        averaged = _signal_photons(1.0, None, chain)
         v0 = chain.intrinsic_visibility_v0
         assert averaged == pytest.approx(peak / (1.0 + v0), rel=1e-12)
 
@@ -93,7 +98,8 @@ class TestClosedFormGrid:
             params = params.without_interferometer()
             phis = [None] * len(phis)
         grid = _ClosedForm(params).grid(mus, phis)
-        alone = [expected_rate(mu, phi, params).click_probability for mu in mus for phi in phis]
+        alone = [click_probability(expected_rate(mu, phi, params), params.detector)
+                 for mu in mus for phi in phis]
         reference = [_reference_click(mu, phi, params) for mu in mus for phi in phis]
         assert [p.hex() for p in grid] == [p.hex() for p in alone]
         assert [p.hex() for p in grid] == [p.hex() for p in reference]
@@ -121,29 +127,29 @@ class TestAnalyticVisibility:
         )
         for mu in (1e-4, 0.7, 143.0):
             pair = analytic_visibility(mu, clean)
-            assert pair.raw == pytest.approx(clean.intrinsic_visibility_v0, rel=1e-12)
+            assert pair[0] == pytest.approx(clean.intrinsic_visibility_v0, rel=1e-12)
 
     def test_calibrated_fringe_points(self, chain):
         pair = analytic_visibility(0.7, chain)
-        assert pair.raw == pytest.approx(0.379, abs=1e-9)
-        assert pair.subtracted == pytest.approx(0.721, abs=1e-9)
-        assert analytic_visibility(143.0, chain).raw == pytest.approx(0.94, abs=1e-9)
+        assert pair[0] == pytest.approx(0.379, abs=1e-9)
+        assert pair[1] == pytest.approx(0.721, abs=1e-9)
+        assert analytic_visibility(143.0, chain)[0] == pytest.approx(0.94, abs=1e-9)
 
     def test_limits(self, chain):
-        assert analytic_visibility(0.0, chain).raw == 0.0
-        assert analytic_visibility(1e9, chain).raw == pytest.approx(
+        assert analytic_visibility(0.0, chain)[0] == 0.0
+        assert analytic_visibility(1e9, chain)[0] == pytest.approx(
             chain.intrinsic_visibility_v0, rel=1e-4
         )
 
     def test_monotone_in_mu(self, chain):
         mus = np.logspace(-3, 3, 40)
-        values = [analytic_visibility(float(m), chain).raw for m in mus]
+        values = [analytic_visibility(float(m), chain)[0] for m in mus]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_subtracted_exceeds_raw(self, chain):
         for mu in np.logspace(-2, 2, 20):
             pair = analytic_visibility(float(mu), chain)
-            assert pair.subtracted > pair.raw
+            assert pair[1] > pair[0]
 
     def test_requires_interferometer(self, bare_chain):
         with pytest.raises(ValueError):
@@ -154,15 +160,13 @@ class TestChainPointMean:
     def test_matches_analytic_without_interferometer(self, bare_chain):
         for mu in (0.0, 0.01, 1.0, 125.0):
             train_mean = chain_point_mean(mu, None, bare_chain)
-            rate = expected_rate(mu, None, bare_chain)
-            assert train_mean == pytest.approx(rate.mean_photons, rel=1e-12)
+            assert train_mean == pytest.approx(expected_rate(mu, None, bare_chain), rel=1e-12)
 
     def test_matches_analytic_with_interferometer(self, chain):
         # finite-train edge slot keeps the two within ~1/n_slots
         for mu, phi in [(0.7, 0.0), (0.7, 2.0), (143.0, math.pi / 2), (0.09, 1.0)]:
             train_mean = chain_point_mean(mu, phi, chain, n_slots=4096)
-            rate = expected_rate(mu, phi, chain)
-            assert train_mean == pytest.approx(rate.mean_photons, rel=5e-4)
+            assert train_mean == pytest.approx(expected_rate(mu, phi, chain), rel=5e-4)
 
     def test_photon_mean_exactly_linear_in_mu(self, chain):
         base = chain_point_mean(1.0, 1.1, chain) - chain_point_mean(0.0, 1.1, chain)
@@ -178,8 +182,7 @@ class TestChainPointMean:
             interferometer=dataclasses.replace(chain.interferometer, phase_bias_theta=0.7),
         )
         train_mean = chain_point_mean(0.7, 0.9, biased, n_slots=4096)
-        rate = expected_rate(0.7, 0.9, biased)
-        assert train_mean == pytest.approx(rate.mean_photons, rel=5e-4)
+        assert train_mean == pytest.approx(expected_rate(0.7, 0.9, biased), rel=5e-4)
 
     def test_rejects_phi_average_with_interferometer(self, chain):
         # phi=None means the phi-averaged fringe, which no single train carries
@@ -200,7 +203,7 @@ class TestMonteCarloAgainstAnalytic:
             (bare_chain, 0.0, None),
         ]
         for i, (params, mu, phi) in enumerate(points):
-            p = expected_rate(mu, phi, params).click_probability
+            p = click_probability(expected_rate(mu, phi, params), params.detector)
             summary = simulate_point(mu, phi, params, gates, seed=derive_seed(123, i))
             sigma = math.sqrt(p * (1 - p) / gates)
             assert abs(summary.p_click - p) < 5 * sigma
@@ -208,7 +211,7 @@ class TestMonteCarloAgainstAnalytic:
     def test_seed_population(self, chain):
         # the 5-sigma envelope holds for >= 99% of seeds at a fringe point
         gates = 1_000_000
-        p = expected_rate(0.7, 1.0, chain).click_probability
+        p = click_probability(expected_rate(0.7, 1.0, chain), chain.detector)
         sigma = math.sqrt(p * (1 - p) / gates)
         ok = sum(
             abs(simulate_point(0.7, 1.0, chain, gates, seed=s).p_click - p) < 5 * sigma

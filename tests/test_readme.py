@@ -1,15 +1,22 @@
 """The README's library example runs against the current public API."""
 
+import ast
 import contextlib
 import io
 import re
 from pathlib import Path
 
+import qfdc
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _library_section() -> str:
+    return README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _library_example() -> str:
-    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = _library_section()
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
     assert len(blocks) == 1, "the Library section should hold one python block"
     return blocks[0]
@@ -21,4 +28,18 @@ def test_library_example_runs():
         exec(compile(_library_example(), str(README), "exec"), {})
     lines = out.getvalue().splitlines()
     assert len(lines) == 3
-    assert lines[1].startswith("VisibilityPair(")
+    pair = ast.literal_eval(lines[1])
+    assert isinstance(pair, tuple) and len(pair) == 2
+    assert all(isinstance(v, float) for v in pair)
+
+
+def test_top_level_names_are_the_documented_ones():
+    assert sorted(qfdc.__all__) == sorted([
+        "calibrate", "calibrated_chain", "CalibrationTargets", "CalibrationContext",
+        "ChainParams", "run_fig4a", "run_fig4b", "run_fig5", "run_fig6", "ScanResult",
+        "CountSummary", "expected_rate", "analytic_visibility",
+    ])
+    section = _library_section()
+    for name in qfdc.__all__:
+        assert hasattr(qfdc, name)
+        assert f"`{name}`" in section
