@@ -12,8 +12,10 @@ into the copy and tested there, one after another, with
 module outside it is refused. Tests that already fail or error on the
 unmutated copy are deselected, and the study stops unless the copy then
 passes, so a mutant counts as killed when some other test fails or the run
-exceeds ``TIMEOUT_S``. The report holds the score and every survivor. Uses
-the standard library only and gates nothing.
+exceeds ``TIMEOUT_S``. Every run passes ``--hypothesis-seed=HYPOTHESIS_SEED``,
+so the generated examples, and with them the score, repeat from run to run.
+The report holds the score and every survivor. Uses the standard library
+only and gates nothing.
 """
 
 import argparse
@@ -34,6 +36,7 @@ SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">="
 BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120.0  # per mutant; a run that exceeds it counts as killed
+HYPOTHESIS_SEED = 0
 
 
 def sites(source: str) -> list[tuple[int, int, str]]:
@@ -75,7 +78,11 @@ def run_pytest(copy: Path, extra: list[str], timeout: float | None) -> subproces
     # no bytecode: a same-size mutant written within the second of the last
     # one would pass the .pyc staleness check (mtime and size) and not run
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra]
+    # an empty example database: examples saved by one mutant's failing run
+    # would otherwise be replayed against the next mutant
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           f"--hypothesis-seed={HYPOTHESIS_SEED}", *extra]
     return subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
                           timeout=timeout)
 
@@ -124,6 +131,7 @@ def main() -> int:
         "timeouts": timeouts,
         "score": (len(todo) - len(survivors)) / len(todo) if todo else None,
         "deselected": failing,
+        "hypothesis_seed": HYPOTHESIS_SEED,
         "seconds": round(time.perf_counter() - start, 1),
         "survivors": survivors,
     }

@@ -25,17 +25,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .detector import DetectorSpec, click_probability
-from .experiment import ChainParams, analytic_visibility, expected_rate
-from .interferometer import InterferometerSpec, suppress_background
-from .mixer import (
+from .model import (
+    ChainParams,
     ConverterSpec,
+    DetectorSpec,
+    InterferometerSpec,
     NoiseBackground,
     ThreeWaveProcess,
+    analytic_visibility,
+    click_probability,
     conversion_efficiency,
     derive_process,
+    expected_rate,
+    mode_from_wavelength,
+    suppress_background,
 )
-from .optics import mode_from_wavelength
 
 SIGNAL_WAVELENGTH_NM = 712.9
 PUMP_WAVELENGTH_NM = 1551.1

@@ -29,7 +29,6 @@ from .calibration import (
 from .experiment import (
     DEFAULT_GATES_PER_POINT,
     DEFAULT_N_PHI,
-    ChainParams,
     ScanResult,
     default_phi_grid,
     run_fig4a,
@@ -37,6 +36,7 @@ from .experiment import (
     run_fig5,
     run_fig6,
 )
+from .model import ChainParams
 
 OUTPUT_DIR_ENV = "QFDC_OUTPUT_DIR"
 

@@ -1,12 +1,11 @@
-"""Gated Geiger-mode single-photon detector.
+"""Monte Carlo click records of the gated detector.
 
-A gate sees a Poissonian light field with some mean photon number and
-clicks with probability ``1 - (1 - p_dark) * exp(-efficiency * mu)``.
-Monte Carlo sampling is counter-based: gates are split into fixed blocks of
-``2**20`` and each block draws its click count from an independent Philox
-substream keyed by ``(seed, block_index)``. The keyed blocks, summed
-serially, define the draws: a click record depends only on the seed, the
-gate count and the click probability.
+The click model is :func:`qfdc.model.click_probability`. Sampling is
+counter-based: gates are split into fixed blocks of ``2**20`` and each
+block draws its click count from an independent Philox substream keyed by
+``(seed, block_index)``. The keyed blocks, summed serially, define the
+draws: a click record depends only on the seed, the gate count and the
+click probability.
 
 A scan is seeded through :func:`derive_seeds` (:func:`derive_seed` over
 arrays of point indices) and sampled through :func:`sample_scan`, which
@@ -26,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .model import DetectorSpec, click_probability
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -33,25 +34,6 @@ BLOCK_GATES = 1 << 20
 
 _MAX_SEED = 2**64
 _MASK32 = 0xFFFFFFFF
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Gated detector: efficiency, dark count probability, gate rate."""
-
-    efficiency: float = 0.10
-    dark_prob_per_gate: float = 2.6e-5
-    gate_rate_hz: float = 4.0e6
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_prob_per_gate <= 1.0:
-            raise ValueError(
-                f"dark_prob_per_gate must be in [0, 1], got {self.dark_prob_per_gate}"
-            )
-        if not (math.isfinite(self.gate_rate_hz) and self.gate_rate_hz > 0.0):
-            raise ValueError(f"gate_rate_hz must be > 0, got {self.gate_rate_hz}")
 
 
 @dataclass(frozen=True)
@@ -83,22 +65,6 @@ class CountSummary:
     @property
     def rate_per_s(self) -> float:
         return self.p_click * self.gate_rate_hz
-
-
-def click_probability(mean_photons_at_detector: float, spec: DetectorSpec) -> float:
-    """Click probability per gate for Poissonian light of the given mean."""
-    return _click_probabilities([float(mean_photons_at_detector)], spec)[0]
-
-
-def _click_probabilities(means: list[float], spec: DetectorSpec) -> list[float]:
-    """:func:`click_probability` at each mean, the means checked in one pass."""
-    if means and (min(means) < 0.0 or any(map(math.isnan, means))):
-        bad = next(mu for mu in means if not mu >= 0.0)
-        raise ValueError(f"mean photons must be >= 0, got {bad}")
-    d = spec.dark_prob_per_gate
-    eta = spec.efficiency
-    # 1 - (1-d)*exp(-eta*mu), written via expm1 to keep precision at tiny mu
-    return [d + (1.0 - d) * -math.expm1(-eta * mu) for mu in means]
 
 
 def sample_scan(p, n_gates: int, seeds) -> list[int]:

@@ -1,35 +1,38 @@
 """End-to-end scenario engine.
 
-Composes source -> converter -> (optional interferometer) -> detector,
-evaluates each scenario point in closed form, samples its click record by
-seeded Monte Carlo at that closed-form mean, and provides the sweep drivers
-for the four standard experiments: the pump-power sweep (``run_fig4a``),
-the count-rate-vs-mu sweep (``run_fig4b``), the fringe scan (``run_fig5``),
-and the visibility-vs-mu sweep (``run_fig6``).
+Evaluates each scenario point with the closed form of :mod:`qfdc.model`,
+samples its click record by seeded Monte Carlo at that closed-form mean,
+and provides the sweep drivers for the four standard experiments: the
+pump-power sweep (``run_fig4a``), the count-rate-vs-mu sweep
+(``run_fig4b``), the fringe scan (``run_fig5``), and the visibility-vs-mu
+sweep (``run_fig6``). :func:`chain_point_mean` is the train pipeline's
+reference for the closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .detector import (
     CountSummary,
-    DetectorSpec,
-    _click_probabilities,
     derive_seed,  # the per-point definition of derive_seeds; bench/tracer.py patches it here
     derive_seeds,
     sample_gates,
     sample_scan,
 )
-from .interferometer import (
-    InterferometerSpec,
-    gate_mean_photons,
+from .interferometer import gate_mean_photons, transmit_train
+from .mixer import convert
+from .model import (
+    ChainParams,
+    DetectorSpec,
+    _ClosedForm,
+    analytic_visibility,  # no driver calls it; bench/tracer.py patches it here
+    expected_rate,
+    noise_background,
     suppress_background,
-    transmit_train,
 )
-from .mixer import ConverterSpec, conversion_efficiency, convert, noise_background
 from .optics import PhasePattern, attenuate, coherent_train, transmission_loss_db
 
 if TYPE_CHECKING:
@@ -38,135 +41,6 @@ if TYPE_CHECKING:
 DEFAULT_N_SLOTS = 4096
 DEFAULT_GATES_PER_POINT = 40_000_000  # 10 s at the 4 MHz gate rate
 DEFAULT_N_PHI = 16
-
-
-@dataclass(frozen=True)
-class ChainParams:
-    """Everything between the source and the click record.
-
-    ``post_converter_transmission`` is the broadband transmission from the
-    waveguide output to the detector (collection lenses, fiber coupling, the
-    pump-rejection couplers and the interferometer's insertion loss).
-    ``intrinsic_visibility_v0`` is the background-free fringe contrast
-    ceiling, lumping source coherence, modulator fidelity and interferometer
-    imbalance.
-    """
-
-    converter: ConverterSpec
-    detector: DetectorSpec
-    interferometer: InterferometerSpec | None = None
-    post_converter_transmission: float = 1.0
-    intrinsic_visibility_v0: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.post_converter_transmission <= 1.0:
-            raise ValueError(
-                "post_converter_transmission must be in [0, 1], "
-                f"got {self.post_converter_transmission}"
-            )
-        if not 0.0 <= self.intrinsic_visibility_v0 <= 1.0:
-            raise ValueError(
-                f"intrinsic_visibility_v0 must be in [0, 1], got {self.intrinsic_visibility_v0}"
-            )
-
-    def without_interferometer(self) -> "ChainParams":
-        return replace(self, interferometer=None)
-
-    def at_pump_power(self, pump_power_w: float) -> "ChainParams":
-        return replace(self, converter=replace(self.converter, pump_power_w=pump_power_w))
-
-
-class _ClosedForm:
-    """The per-chain factors of :func:`expected_rate` and
-    :func:`analytic_visibility`, formed once per scan.
-
-    :meth:`means` forms the signal photons ``mu*eta*t_post`` once per mu
-    and the fringe factor ``(1 + contrast*cos(phi))/2`` once per phi, and
-    combines them as ``signal*fringe + noise``; a point and a scan share
-    that one path, and :meth:`grid` applies the detector's click formula.
-    """
-
-    def __init__(self, params: ChainParams) -> None:
-        self.eta = conversion_efficiency(params.converter)
-        self.t_post = params.post_converter_transmission
-        self.detector = params.detector
-        noise = noise_background(params.converter).scaled(self.t_post)
-        # fringe contrast, None without an interferometer: slots interfere at
-        # phase differences -phi and +phi, so an arm bias theta gives the
-        # fringe (1 + V0*cos(theta)*cos(phi))/2
-        self.contrast = None
-        if params.interferometer is not None:
-            noise = suppress_background(noise, params.interferometer)
-            self.contrast = params.intrinsic_visibility_v0 * math.cos(
-                params.interferometer.phase_bias_theta)
-        self.noise = noise.total_photons_per_gate  # background photons per gate
-
-    def _signal(self, mu: float) -> float:
-        """Signal photons per gate at the detector, before the fringe."""
-        if mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
-        return mu * self.eta * self.t_post
-
-    def _fringe(self, phi: float | None) -> float:
-        """The fringe factor at phi (``None``: the phi average), 1 without an
-        interferometer; multiplying by 1 leaves every bit as it is."""
-        if self.contrast is None:
-            if phi is not None:
-                raise ValueError("phi was given but the chain has no interferometer")
-            return 1.0
-        cos_phi = 0.0 if phi is None else math.cos(phi)
-        return (1.0 + self.contrast * cos_phi) / 2.0
-
-    def means(self, mus, phis) -> list[float]:
-        """The mean photons per gate at the detector at each (mu, phi), mu-major."""
-        fringes = [self._fringe(phi) for phi in phis]
-        noise = self.noise
-        return [signal * fringe + noise for signal in map(self._signal, mus)
-                for fringe in fringes]
-
-    def grid(self, mus, phis) -> list[float]:
-        """The click probability at each (mu, phi), mu-major."""
-        return _click_probabilities(self.means(mus, phis), self.detector)
-
-    def visibility(self, mu: float) -> tuple[float, float]:
-        """The paper's fringe visibility at mu; see :func:`analytic_visibility`."""
-        if self.contrast is None:
-            raise ValueError("analytic_visibility requires an interferometer in the chain")
-        if mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
-        det = self.detector
-        s_clicks = det.efficiency * mu * self.eta * self.t_post
-        b_noise = det.efficiency * self.noise
-        if s_clicks == 0.0:
-            return 0.0, 0.0
-        raw = s_clicks * self.contrast / (s_clicks + 2.0 * (b_noise + det.dark_prob_per_gate))
-        sub = s_clicks * self.contrast / (s_clicks + 2.0 * b_noise)
-        return raw, sub
-
-
-def expected_rate(mu: float, phi: float | None, params: ChainParams) -> float:
-    """Closed-form mean photons per gate at the detector: signal plus background.
-
-    ``phi`` is the alternating phase-modulation depth; ``None`` means the
-    phi-averaged fringe (factor 1/2) when an interferometer is present.
-    All factors are photon-number transmissions; the detector efficiency
-    enters only the click model, ``click_probability(expected_rate(...),
-    params.detector)``.
-    """
-    return _ClosedForm(params).means([mu], [phi])[0]
-
-
-def analytic_visibility(mu: float, params: ChainParams) -> tuple[float, float]:
-    """Fringe visibility predicted from the signal-to-background ratio, as
-    the pair ``(raw, subtracted)``.
-
-    With S the constructive-port signal clicks/gate (fringe peak for a
-    perfect fringe) and B the flat background clicks/gate, the fitted
-    c1/c0 visibility of the fringe S*(1 + V0*cos(phi))/2 + B is
-    S*V0/(S + 2B). The raw value counts dark clicks in B; the subtracted
-    value removes them.
-    """
-    return _ClosedForm(params).visibility(mu)
 
 
 def chain_point_mean(

@@ -6,41 +6,19 @@ its predecessor. Output port 0 of slot k carries
 complementary minus-sign combination. The first slot of a finite train has
 no partner and contributes only its non-interfering half-amplitude term.
 
-For out-of-band light (residual pump leakage) the device acts as a filter
-with ``oob_suppression_db`` of rejection instead of an interferometer;
-in-band incoherent light simply splits between the two ports. The
-device's broadband insertion loss is not modelled separately: it multiplies
-signal and background alike, so it is part of the chain's
-``post_converter_transmission``.
+The spec and the background the device passes are in :mod:`qfdc.model`;
+this is the reference pipeline's per-slot transmission.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .mixer import NoiseBackground
+from .model import InterferometerSpec
 from .optics import CoherentPulseTrain
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass(frozen=True)
-class InterferometerSpec:
-    """Arm phase bias and out-of-band rejection."""
-
-    phase_bias_theta: float = 0.0
-    oob_suppression_db: float = 12.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.phase_bias_theta):
-            raise ValueError(f"phase_bias_theta must be finite, got {self.phase_bias_theta}")
-        if math.isnan(self.oob_suppression_db) or self.oob_suppression_db < 0.0:
-            raise ValueError(
-                f"oob_suppression_db must be >= 0, got {self.oob_suppression_db}"
-            )
 
 
 def transmit_train(
@@ -70,15 +48,3 @@ def gate_mean_photons(per_slot: np.ndarray) -> float:
     """Mean photons per gate: the average over all counted slots."""
     import numpy as np
     return float(np.mean(per_slot))
-
-
-def suppress_background(bg: NoiseBackground, spec: InterferometerSpec) -> NoiseBackground:
-    """Background after the interferometer.
-
-    Out-of-band pump leakage sees the full spectral rejection; in-band Raman
-    light is incoherent and splits evenly between the two output ports.
-    """
-    return NoiseBackground(
-        bg.leak_photons_per_gate * 10.0 ** (-spec.oob_suppression_db / 10.0),
-        bg.raman_photons_per_gate / 2.0,
-    )

@@ -1,4 +1,4 @@
-"""Wavelength channels and coherent pulse trains.
+"""Coherent pulse trains, the source of the reference train pipeline.
 
 Every optical state in this package is a coherent state, so a pulse train is
 carried entirely by one complex amplitude per clock slot; ``|amplitude|**2``
@@ -13,44 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .model import OpticalMode
+
 if TYPE_CHECKING:
     import numpy as np
-
-SPEED_OF_LIGHT_M_PER_S = 299792458.0  # exact by definition
-
-_TWO_PI_C = 2.0 * math.pi * SPEED_OF_LIGHT_M_PER_S
-
-
-@dataclass(frozen=True)
-class OpticalMode:
-    """A wavelength channel, fixed by its vacuum wavelength in nm."""
-
-    wavelength_nm: float
-
-    def __post_init__(self) -> None:
-        # checked in metres: a subnormal wavelength in nm underflows to 0 m
-        if not (math.isfinite(self.wavelength_nm) and self.wavelength_nm * 1e-9 > 0.0):
-            raise ValueError(f"wavelength_nm must be finite and > 0, got {self.wavelength_nm}")
-
-    @property
-    def angular_frequency(self) -> float:
-        """Angular frequency in rad/s, 2*pi*c / wavelength."""
-        return _TWO_PI_C / (self.wavelength_nm * 1e-9)
-
-
-def mode_from_wavelength(wavelength_nm: float) -> OpticalMode:
-    """Build an :class:`OpticalMode` from a vacuum wavelength in nm."""
-    return OpticalMode(float(wavelength_nm))
-
-
-def mode_from_angular_frequency(angular_frequency: float) -> OpticalMode:
-    """Build an :class:`OpticalMode` from an angular frequency in rad/s."""
-    angular_frequency = float(angular_frequency)
-    if not (math.isfinite(angular_frequency) and angular_frequency > 0.0):
-        raise ValueError(
-            f"angular_frequency must be finite and > 0, got {angular_frequency}"
-        )
-    return OpticalMode(_TWO_PI_C / angular_frequency * 1e9)
 
 
 @dataclass(frozen=True)

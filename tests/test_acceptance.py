@@ -15,17 +15,20 @@ from qfdc.calibration import (
     calibrate,
     calibrated_chain,
 )
-from qfdc.detector import DetectorSpec, click_probability, sample_gates
+from qfdc.detector import sample_gates
 from qfdc.experiment import run_fig4b, run_fig5, run_fig6
-from qfdc.interferometer import InterferometerSpec, transmit_train
-from qfdc.mixer import ProcessKind, convert, derive_process, spdc_leak_safe
-from qfdc.optics import (
-    PhasePattern,
-    apply_phase,
-    attenuate,
-    coherent_train,
+from qfdc.interferometer import transmit_train
+from qfdc.mixer import convert
+from qfdc.model import (
+    DetectorSpec,
+    InterferometerSpec,
+    ProcessKind,
+    click_probability,
+    derive_process,
     mode_from_wavelength,
+    spdc_leak_safe,
 )
+from qfdc.optics import PhasePattern, apply_phase, attenuate, coherent_train
 
 ACCEPT_SEED = 20260810
 

@@ -11,7 +11,7 @@ from qfdc.calibration import (
     calibrate,
     residuals_within_tolerance,
 )
-from qfdc.detector import DetectorSpec
+from qfdc.model import DetectorSpec
 
 # Frozen outputs of an independent numeric oracle: the three-visibility
 # system solved with scipy.optimize.brentq at 50-digit intermediate
@@ -243,8 +243,7 @@ class TestCalibratedChain:
         assert chain.converter.pump_power_w == 0.027
 
     def test_targets_reproduced_by_chain(self, chain):
-        from qfdc.experiment import analytic_visibility, expected_rate
-        from qfdc.mixer import conversion_efficiency
+        from qfdc.model import analytic_visibility, conversion_efficiency, expected_rate
 
         assert conversion_efficiency(chain.converter) == pytest.approx(0.0035, rel=1e-12)
         assert analytic_visibility(143.0, chain)[0] == pytest.approx(0.94, abs=1e-12)

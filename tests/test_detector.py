@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from qfdc.detector import (
     BLOCK_GATES,
     CountSummary,
-    DetectorSpec,
-    click_probability,
     dark_subtract,
     derive_seed,
     derive_seeds,
     sample_gates,
     sample_scan,
 )
+from qfdc.model import DetectorSpec, _click_probabilities, click_probability
 
 DETECTOR = DetectorSpec()  # 10% efficiency, 2.6e-5 dark, 4 MHz
 
@@ -55,6 +54,10 @@ class TestClickProbability:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             click_probability(-1e-9, DETECTOR)
+
+    def test_error_names_the_first_bad_mean(self):
+        with pytest.raises(ValueError, match=r"got -1e-09$"):
+            _click_probabilities([0.0, -1e-9, -2.0], DETECTOR)
 
     @given(st.floats(0.0, 1e4), st.floats(0.0, 1e4))
     @settings(max_examples=300)

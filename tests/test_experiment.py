@@ -6,17 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfdc.detector import CountSummary, click_probability, dark_subtract, derive_seed
+from qfdc.detector import CountSummary, dark_subtract, derive_seed
 from qfdc.experiment import (
-    ChainParams,
     CosineFit,
     ScanResult,
     _click_arrays,
-    _ClosedForm,
-    analytic_visibility,
     chain_point_mean,
     default_phi_grid,
-    expected_rate,
     fit_cosine,
     fit_through_origin,
     run_fig4a,
@@ -25,8 +21,16 @@ from qfdc.experiment import (
     run_fig6,
     simulate_point,
 )
-from qfdc.interferometer import suppress_background
-from qfdc.mixer import conversion_efficiency, noise_background
+from qfdc.model import (
+    ChainParams,
+    _ClosedForm,
+    analytic_visibility,
+    click_probability,
+    conversion_efficiency,
+    expected_rate,
+    noise_background,
+    suppress_background,
+)
 
 
 def _signal_photons(mu: float, phi: float | None, params: ChainParams) -> float:
@@ -387,8 +391,6 @@ class TestScenarioDrivers:
             assert abs(noise - slope * power_mw * 1e-3) < 3 * sigma
 
     def test_fig4a_efficiency_follows_conversion_law(self, bare_chain):
-        from qfdc.mixer import conversion_efficiency
-
         grid = [0.00675, 0.0135, 0.02025, 0.027]
         scan = run_fig4a(bare_chain, grid, gates_per_point=20_000_000, seed=18)
         for power, eff, sigma in zip(
@@ -438,8 +440,6 @@ class TestScenarioDrivers:
     def test_fig4b_slope_matches_chain_efficiency(self, bare_chain):
         # in the linear detector response regime (signal clicks/gate << 1)
         # the subtracted slope is the chain's photon-number efficiency
-        from qfdc.mixer import conversion_efficiency
-
         scan = run_fig4b(
             bare_chain, [0.1, 0.3, 1.0, 3.0, 10.0], gates_per_point=100_000_000, seed=8
         )

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfdc.interferometer import (
+from qfdc.interferometer import gate_mean_photons, transmit_train
+from qfdc.model import (
     InterferometerSpec,
-    gate_mean_photons,
+    NoiseBackground,
+    mode_from_wavelength,
     suppress_background,
-    transmit_train,
 )
-from qfdc.mixer import NoiseBackground
-from qfdc.optics import PhasePattern, coherent_train, mode_from_wavelength
+from qfdc.optics import PhasePattern, coherent_train
 
 CONVERTED = mode_from_wavelength(1319.1)
 

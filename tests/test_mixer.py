@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfdc.mixer import (
+from qfdc.mixer import convert
+from qfdc.model import (
     ConverterSpec,
     ProcessKind,
+    ThreeWaveProcess,
     conversion_efficiency,
-    convert,
     derive_process,
+    mode_from_wavelength,
     noise_background,
     spdc_leak_safe,
 )
-from qfdc.optics import PhasePattern, coherent_train, mode_from_wavelength
+from qfdc.optics import PhasePattern, coherent_train
 
 PUMP = mode_from_wavelength(1551.1)
 SIGNAL = mode_from_wavelength(712.9)
@@ -77,6 +79,28 @@ class TestDeriveProcess:
             assert again.converted.wavelength_nm == p.converted.wavelength_nm
 
 
+class TestThreeWaveProcess:
+    # with the 1551.1 nm mode, these two wavelengths miss energy conservation
+    # by exactly its tolerance, 1e-9 of the highest frequency of the three
+    LOW_NM, HIGH_NM, CONVERTED_NM = 1551.1, 712.9000367525003, 1319.2308440056986
+
+    def test_residual_equal_to_the_tolerance_is_accepted(self):
+        low, high, converted = map(
+            mode_from_wavelength, (self.LOW_NM, self.HIGH_NM, self.CONVERTED_NM))
+        w_low, w_high = low.angular_frequency, high.angular_frequency
+        assert abs(w_low + converted.angular_frequency - w_high) == 1e-9 * w_high
+        ThreeWaveProcess(low, high, converted, ProcessKind.BEAMSPLITTER)
+        ThreeWaveProcess(high, low, converted, ProcessKind.AMPLIFIER)
+
+    @pytest.mark.parametrize("kind", list(ProcessKind))
+    def test_equal_pump_and_signal_rejected(self, kind):
+        # a converted frequency of 1.9e6 rad/s, within the tolerance of zero,
+        # conserves energy; only the frequency order rejects the triple
+        mode = mode_from_wavelength(712.9)
+        with pytest.raises(ValueError, match="above"):
+            ThreeWaveProcess(mode, mode, mode_from_wavelength(1e12), kind)
+
+
 class TestSpdcLeakSafe:
     def test_reference_configuration_safe(self):
         assert spdc_leak_safe(reference_process()) is True
@@ -93,11 +117,22 @@ class TestSpdcLeakSafe:
         signal = mode_from_wavelength(700.0)
         process = derive_process(pump, signal)
         assert spdc_leak_safe(process) is False
+        # derive_process rounds the converted frequency 0.25 rad/s below the
+        # pump's; the pump's own mode as the converted one is the exact boundary
+        exact = ThreeWaveProcess(pump, signal, pump, ProcessKind.BEAMSPLITTER)
+        assert spdc_leak_safe(exact) is False
 
     def test_rejects_amplifier(self):
         process = derive_process(pump=SIGNAL, signal=PUMP)
         with pytest.raises(ValueError):
             spdc_leak_safe(process)
+
+
+class TestConverterSpec:
+    @pytest.mark.parametrize("name", ["system_transmission", "leak_fraction"])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_bounds_are_closed(self, name, value):
+        assert getattr(reference_spec(**{name: value}), name) == value
 
 
 class TestConversionEfficiency:

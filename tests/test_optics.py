@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfdc.model import mode_from_angular_frequency, mode_from_wavelength
 from qfdc.optics import (
     CoherentPulseTrain,
     PhasePattern,
     apply_phase,
     attenuate,
     coherent_train,
-    mode_from_wavelength,
     transmission_loss_db,
 )
 
@@ -38,6 +38,11 @@ class TestOpticalMode:
     def test_rejects_bad_wavelength(self, bad):
         with pytest.raises(ValueError):
             mode_from_wavelength(bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
+    def test_rejects_bad_angular_frequency(self, bad):
+        with pytest.raises(ValueError, match="angular_frequency"):
+            mode_from_angular_frequency(bad)
 
 
 class TestCoherentTrain:

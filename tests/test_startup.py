@@ -7,7 +7,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import qfdc
+
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The top-level names that ``qfdc`` imports on first access, and their modules.
+LAZY_NAMES = {
+    "CountSummary": "detector",
+    "ScanResult": "experiment",
+    "run_fig4a": "experiment",
+    "run_fig4b": "experiment",
+    "run_fig5": "experiment",
+    "run_fig6": "experiment",
+}
+
+#: The package's modules after the set-up the bench times, and then whether
+#: each lazy name is its module's object when it is first accessed.
+_SETUP_PROBE = """
+import importlib, json, sys
+import qfdc
+qfdc.calibrated_chain(qfdc.calibrate())
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "qfdc")
+same = {name: getattr(qfdc, name) is getattr(importlib.import_module("qfdc." + module), name)
+        for name, module in json.loads(sys.argv[1]).items()}
+print(json.dumps({"loaded": loaded, "same": same}))
+"""
 
 #: Records whether numpy is loaded after each start-up step, then after a run.
 _STARTUP_PROBE = """
@@ -28,6 +54,39 @@ assert main(["run", "fig5", cfg, "--out", out + "/fig5.csv"]) == 0
 loaded["run fig5"] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
+
+
+@pytest.fixture(scope="module")
+def setup_probe() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SETUP_PROBE, json.dumps(LAZY_NAMES)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_set_up_loads_only_the_model_and_the_calibration(setup_probe):
+    assert setup_probe["loaded"] == ["qfdc", "qfdc.calibration", "qfdc.model"]
+
+
+def test_lazy_names_are_their_modules_objects(setup_probe):
+    assert setup_probe["same"] == dict.fromkeys(LAZY_NAMES, True)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(qfdc, "no_such_name")
+
+
+def test_star_import_binds_every_top_level_name():
+    namespace: dict = {}
+    exec("from qfdc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(qfdc.__all__)
+    assert len(namespace) == 13
 
 
 def test_numpy_loads_only_when_arrays_are_computed(tmp_path):
