@@ -4,10 +4,9 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_17.json
 
 Runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` in
-each checkout, one pair per seed: seeds 200-209 for ``dense_map`` and
-200-204 for ``reproduce`` and ``long_integration``. Pair k runs the parent
-first when k is even and the change first when it is odd, so a drift in
-machine speed does not favour one side. ``summary`` compares the pairs per
+each checkout, one pair per seed: seeds 200-209, ten pairs, on every
+workload. Pair k runs the parent first when k is even and the change first
+when it is odd, so a drift in machine speed does not favour one side. ``summary`` compares the pairs per
 workload and end-to-end metric; ``runs`` holds every run's JSON line. Uses
 the standard library only; a run that fails is recorded with its exit code
 and standard error, and counts as not correct.
@@ -22,11 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-SEEDS = {
-    "dense_map": range(200, 210),
-    "reproduce": range(200, 205),
-    "long_integration": range(200, 205),
-}
+SEEDS = dict.fromkeys(("dense_map", "reproduce", "long_integration"), range(200, 210))
 METRICS = ("setup_s", "pass_s", "peak_rss_mb")
 
 

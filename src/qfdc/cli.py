@@ -10,12 +10,14 @@ Exit codes: 0 success, 1 usage/configuration error, 2 model infeasibility.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .calibration import (
     BOUNDS,
@@ -26,17 +28,14 @@ from .calibration import (
     calibrated_chain,
     residuals_within_tolerance,
 )
-from .experiment import (
-    DEFAULT_GATES_PER_POINT,
-    DEFAULT_N_PHI,
-    ScanResult,
-    default_phi_grid,
-    run_fig4a,
-    run_fig4b,
-    run_fig5,
-    run_fig6,
-)
-from .model import ChainParams
+from .model import DEFAULT_GATES_PER_POINT, DEFAULT_N_PHI, ChainParams
+
+if TYPE_CHECKING:
+    from .experiment import ScanResult
+
+#: The drivers, imported from ``experiment`` on first access (PEP 562), so
+#: that ``validate`` and ``calibrate`` do not load the Monte Carlo.
+_DRIVERS = ("default_phi_grid", "run_fig4a", "run_fig4b", "run_fig5", "run_fig6")
 
 OUTPUT_DIR_ENV = "QFDC_OUTPUT_DIR"
 
@@ -48,6 +47,14 @@ CSV_SCHEMAS = {
     "fig5": ["phi_rad", "rate_per_s", "sigma"],
     "fig6": ["mu", "v_raw", "sigma", "v_sub", "sigma", "v_analytic"],
 }
+
+
+def __getattr__(name: str):
+    if name not in _DRIVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.experiment"), name)
+    globals()[name] = value
+    return value
 
 
 class ConfigError(Exception):
@@ -109,6 +116,8 @@ def _string(section: dict, key: str) -> str | None:
     value = section.get(key)
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"key {key!r} must be a string")
+    if value is not None and "\0" in value:  # no file path can hold one
+        raise ConfigError(f"key {key!r} must not contain a NUL character")
     return value
 
 
@@ -328,6 +337,9 @@ def run_scenario(
             raise ConfigError(f"--no-interferometer has no meaning for {scenario}")
         spec = replace(spec, control=True)
     chain = _chain_from_config(cfg)
+    module = sys.modules[__name__]
+    for name in _DRIVERS:  # binds each driver as a global for ``spec.run``
+        getattr(module, name)
     try:
         return spec.run(chain, seed)
     except ValueError as exc:  # a driver rejecting settings it cannot run
@@ -336,7 +348,13 @@ def run_scenario(
 
 def cmd_validate(args) -> int:
     try:
-        load_config(args.config)
+        cfg = load_config(args.config)
+        report = cfg.chain_from_report
+        if cfg.chain_params is None and report is not None:
+            if os.path.exists(report):
+                _chain_from_config(cfg)  # the report branch, as ``run`` resolves it
+            else:  # ``calibrate --out`` may write it before the run
+                print(f"note: report {report!r} does not exist yet", file=sys.stderr)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,8 @@ from .detector import (
 from .interferometer import gate_mean_photons, transmit_train
 from .mixer import convert
 from .model import (
+    DEFAULT_GATES_PER_POINT,
+    DEFAULT_N_PHI,
     ChainParams,
     DetectorSpec,
     _ClosedForm,
@@ -39,8 +41,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_N_SLOTS = 4096
-DEFAULT_GATES_PER_POINT = 40_000_000  # 10 s at the 4 MHz gate rate
-DEFAULT_N_PHI = 16
 
 
 def chain_point_mean(

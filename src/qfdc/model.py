@@ -27,6 +27,11 @@ _TWO_PI_C = 2.0 * math.pi * SPEED_OF_LIGHT_M_PER_S
 
 _REL_TOL = 1e-9
 
+#: Scenario defaults; the scenario dataclasses in ``qfdc.cli`` need them
+#: when their classes are built, before any driver is imported.
+DEFAULT_GATES_PER_POINT = 40_000_000  # 10 s at the 4 MHz gate rate
+DEFAULT_N_PHI = 16
+
 
 @dataclass(frozen=True)
 class OpticalMode:

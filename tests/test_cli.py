@@ -137,15 +137,21 @@ _COMMANDS = [["validate"], ["calibrate"], ["run", "fig5"]]
 _SHIPPED_FITTED = json.loads(REPO_CONFIG.read_text())["chain"]
 
 
-def _report(fitted):
-    """Config override: take the chain from a report whose ``fitted`` block
-    is ``fitted``, written next to the config."""
+def _report_text(text: str):
+    """Config override: take the chain from a report holding ``text``,
+    written next to the config."""
     def apply(config: dict) -> None:
         path = Path(config["output_dir"]).parent / "report.json"
-        path.write_text(json.dumps({"fitted": fitted}))
+        path.write_text(text)
         del config["chain"]
         config["chain_from_report"] = str(path)
     return apply
+
+
+def _report(fitted):
+    """Config override: take the chain from a report whose ``fitted`` block
+    is ``fitted``."""
+    return _report_text(json.dumps({"fitted": fitted}))
 
 
 _BAD_FITTED = {
@@ -222,6 +228,62 @@ class TestNumbersExitOne:
             assert main(argv + [str(config)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and repr(key.rsplit(".", 1)[-1]) in err
+
+
+_BAD_REPORTS = {
+    **{name: json.dumps({"fitted": fitted}) for name, fitted in _BAD_FITTED.items()},
+    "not-json": "{not json",
+    "out-of-range": json.dumps({"fitted": {**_SHIPPED_FITTED, "system_transmission": 1.5}}),
+}
+
+
+class TestValidateReport:
+    """``validate`` resolves ``chain_from_report`` as ``run`` does when the file exists."""
+
+    @staticmethod
+    def _config(tmp_path: Path, override) -> Path:
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        override(raw)
+        config.write_text(json.dumps(raw))
+        return config
+
+    def test_valid_report(self, tmp_path, capsys):
+        config = self._config(tmp_path, _report(_SHIPPED_FITTED))
+        assert main(["validate", str(config)]) == 0
+        assert capsys.readouterr() == (f"{config}: OK\n", "")
+
+    @pytest.mark.parametrize("text", _BAD_REPORTS.values(), ids=_BAD_REPORTS)
+    def test_malformed_report_exits_1_with_runs_message(self, tmp_path, capsys, text):
+        config = self._config(tmp_path, _report_text(text))
+        assert main(["validate", str(config)]) == 1
+        validate = capsys.readouterr()
+        assert main(["run", "fig5", str(config)]) == 1
+        assert validate.out == ""
+        assert validate.err == capsys.readouterr().err
+        assert validate.err.startswith("error: ") and "Traceback" not in validate.err
+
+    def test_missing_report_is_a_note_until_calibrate_writes_it(self, tmp_path, capsys):
+        config = self._config(tmp_path, _report(_SHIPPED_FITTED))
+        report = Path(load_config(config).chain_from_report)
+        report.unlink()
+        assert main(["validate", str(config)]) == 0
+        out, err = capsys.readouterr()
+        assert out == f"{config}: OK\n"
+        assert err == f"note: report {str(report)!r} does not exist yet\n"
+        assert main(["calibrate", str(config), "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["run", "fig5", str(config), "--out", str(tmp_path / "fig5.csv")]) == 0
+
+    @pytest.mark.parametrize("key", ["output_dir", "chain_from_report"])
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=[argv[0] for argv in _COMMANDS])
+    def test_nul_in_a_path_exits_1(self, tmp_path, capsys, key, argv):
+        config = self._config(tmp_path, _set(key, "a\0b"))
+        assert main(argv + [str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: key {key!r} must not contain a NUL character\n"
 
 
 class TestCalibrateCommand:

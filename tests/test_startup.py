@@ -55,6 +55,26 @@ loaded["run fig5"] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
 
+#: The package's modules after ``validate``, ``calibrate`` and a run, and
+#: whether the CLI's driver is then ``experiment``'s.
+_CLI_PROBE = """
+import json, sys
+cfg, out = sys.argv[1], sys.argv[2]
+def qfdc_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "qfdc")
+from qfdc.cli import main
+loaded = {}
+assert main(["validate", cfg]) == 0
+loaded["validate"] = qfdc_modules()
+assert main(["calibrate", cfg, "--out", out + "/calibration.json"]) == 0
+loaded["calibrate"] = qfdc_modules()
+assert main(["run", "fig5", cfg, "--out", out + "/fig5.csv"]) == 0
+loaded["run"] = qfdc_modules()
+import qfdc.cli, qfdc.experiment
+loaded["same"] = qfdc.cli.run_fig6 is qfdc.experiment.run_fig6
+print(json.dumps(loaded))
+"""
+
 
 @pytest.fixture(scope="module")
 def setup_probe() -> dict:
@@ -108,6 +128,36 @@ def test_numpy_loads_only_when_arrays_are_computed(tmp_path):
         "calibrated_chain": False,
         "run fig5": True,
     }
+
+
+@pytest.mark.parametrize("source", ["chain", "chain_from_report"])
+def test_validate_and_calibrate_load_no_driver(tmp_path, source):
+    config = json.loads((ROOT / "configs" / "default.json").read_text())
+    config["scenarios"]["fig5"] = {"n_phi": 8, "gates_per_point": 1000}
+    if source == "chain_from_report":
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"fitted": config.pop("chain")}))
+        config["chain_from_report"] = str(report)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_PROBE, str(path), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    cli_only = ["qfdc", "qfdc.calibration", "qfdc.cli", "qfdc.model"]
+    assert (probe["validate"], probe["calibrate"]) == (cli_only, cli_only)
+    assert "qfdc.experiment" in probe["run"]
+    assert probe["same"]
+
+
+def test_cli_unknown_attribute_raises_attribute_error():
+    cli = importlib.import_module("qfdc.cli")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(cli, "no_such_name")
 
 
 def test_every_traced_name_resolves():
