@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 usage/configuration error, 2 model infeasibility.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import math
@@ -17,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .calibration import (
@@ -417,39 +417,84 @@ def cmd_run(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        raise ConfigError(message)
+USAGE = """\
+usage: qfdc calibrate CONFIG [--out PATH]
+       qfdc run {fig4a,fig4b,fig5,fig6} CONFIG [--seed N] [--out PATH] [--no-interferometer]
+       qfdc validate CONFIG
+
+commands:
+  calibrate  fit chain parameters to the configured targets and write the report
+             (default <output_dir>/calibration.json)
+  run        run a scenario and write its CSV (default <output_dir>/<scenario>.csv);
+             --no-interferometer is the fig5 control run with the interferometer removed
+  validate   check a configuration file
+
+Options may come anywhere after the command, as --opt VALUE or --opt=VALUE,
+and cannot be abbreviated. -h or --help prints this text.
+Exit codes: 0 success, 1 usage or configuration error, 2 model infeasibility.
+"""
+
+#: Each command's function, its positionals (with their choices, or None for
+#: any value) and its options (with their value type; ``bool`` is a flag).
+_COMMANDS = {
+    "calibrate": (cmd_calibrate, {"config": None}, {"--out": str}),
+    "run": (cmd_run, {"scenario": SCENARIOS, "config": None},
+            {"--seed": int, "--out": str, "--no-interferometer": bool}),
+    "validate": (cmd_validate, {"config": None}, {}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qfdc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cal = sub.add_parser("calibrate", help="fit chain parameters to the configured targets")
-    p_cal.add_argument("config")
-    p_cal.add_argument("--out", help="report path (default <output_dir>/calibration.json)")
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_run = sub.add_parser("run", help="run a scenario and write its CSV")
-    p_run.add_argument("scenario", choices=SCENARIOS)
-    p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out", help="CSV path (default <output_dir>/<scenario>.csv)")
-    p_run.add_argument("--no-interferometer", action="store_true",
-                       help="fig5 control run with the interferometer removed")
-    p_run.set_defaults(func=cmd_run)
-
-    p_val = sub.add_parser("validate", help="check a configuration file")
-    p_val.add_argument("config")
-    p_val.set_defaults(func=cmd_validate)
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line as a namespace: ``command``, ``func``, one attribute
+    per positional and one per option (``None``, or ``False`` for a flag,
+    when not given). A usage problem raises :class:`ConfigError`."""
+    if not argv or argv[0] not in _COMMANDS:
+        found = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ConfigError(f"{found}; choose from {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    func, positionals, options = _COMMANDS[command]
+    args = SimpleNamespace(command=command, func=func, **{
+        name[2:].replace("-", "_"): False if kind is bool else None
+        for name, kind in options.items()})
+    values = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append(token)
+            continue
+        name, equals, value = token.partition("=")
+        kind = options.get(name)
+        if kind is None:
+            raise ConfigError(f"unknown option {name!r} for {command}")
+        if kind is bool:
+            if equals:
+                raise ConfigError(f"{name} takes no value")
+            value = True
+        elif not equals:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigError(f"{name} needs a value")
+        try:
+            setattr(args, name[2:].replace("-", "_"), kind(value))
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if len(values) != len(positionals):
+        raise ConfigError(f"{command} takes {len(positionals)} argument(s) "
+                          f"({' '.join(positionals).upper()}), got {len(values)}")
+    for (name, choices), value in zip(positionals.items(), values):
+        if choices is not None and value not in choices:
+            raise ConfigError(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
+        setattr(args, name, value)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

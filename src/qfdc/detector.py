@@ -7,15 +7,15 @@ block draws its click count from an independent Philox substream keyed by
 draws: a click record depends only on the seed, the gate count and the
 click probability.
 
-A scan is seeded through :func:`derive_seeds` (:func:`derive_seed` over
-arrays of point indices) and sampled through :func:`sample_scan`, which
-rekeys one Philox generator for every ``(seed, block)`` pair of the scan
-and returns each point's click count as a plain int; :func:`sample_gates`
-is its one-point case and wraps the count in a :class:`CountSummary`.
-Neither holds state between calls. On a shared 2-core Xeon whose clock
-speed varies between runs, a 4e6-gate point of a fig6 scan (4 blocks)
-costs 11-14 us with its seed, closed form and fit, of which the 4 rekeys
-and draws take 9-10 us, and a 1e9-gate point (954 blocks) about 2.2 ms.
+A scan is seeded through :func:`derive_seeds` and sampled through
+:func:`sample_scan`, which rekeys one Philox generator for every
+``(seed, block)`` pair of the scan and returns each point's click count as
+a plain int. Neither holds state between calls. Their one-point
+definitions, ``derive_seed`` and ``sample_gates``, are in
+:mod:`qfdc.reference`. On a shared 2-core Xeon whose clock speed varies
+between runs, a 4e6-gate point of a fig6 scan (4 blocks) costs 11-14 us
+with its seed, closed form and fit, of which the 4 rekeys and draws take
+9-10 us, and a 1e9-gate point (954 blocks) about 2.2 ms.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from .model import DetectorSpec, click_probability
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,43 +113,6 @@ def sample_scan(p, n_gates: int, seeds) -> list[int]:
     return counts
 
 
-def sample_gates(
-    mean_photons_at_detector: float,
-    spec: DetectorSpec,
-    n_gates: int,
-    seed: int,
-) -> CountSummary:
-    """Sample independent gates and aggregate the clicks: the one-point
-    :func:`sample_scan` at the click probability of the given mean.
-
-    Deterministic for a fixed ``(seed, n_gates)``; the block decomposition
-    defines the draws.
-    """
-    p = click_probability(mean_photons_at_detector, spec)
-    return CountSummary(int(n_gates), sample_scan([p], n_gates, [seed])[0], spec.gate_rate_hz)
-
-
-def dark_subtract(signal: CountSummary, background: CountSummary) -> tuple[float, float]:
-    """Subtract a background run from a signal run: the corrected click
-    probability and its sigma. The probability may come out negative when
-    the background fluctuates above the signal run; it is reported as-is."""
-    if not math.isclose(signal.gate_rate_hz, background.gate_rate_hz, rel_tol=1e-12):
-        raise ValueError("signal and background summaries must share a gate rate")
-    return signal.p_click - background.p_click, math.hypot(signal.sigma_p, background.sigma_p)
-
-
-def derive_seed(master_seed: int, *path: int) -> int:
-    """Stable 64-bit substream seed for (master seed, index path).
-
-    The definition of every scenario point's seed, so per-point streams are
-    reproducible for a fixed master seed and independent of evaluation
-    order; scans compute the same seeds with :func:`derive_seeds`.
-    """
-    import numpy as np
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _hasher(const: int, mult: int):
     """SeedSequence's word hash; each call advances the hash constant."""
 
@@ -166,7 +127,8 @@ def _hasher(const: int, mult: int):
 
 
 def derive_seeds(master, *index_arrays) -> np.ndarray:
-    """:func:`derive_seed` over arrays of point indices, broadcast, at least 1-d.
+    """:func:`qfdc.reference.derive_seed` over arrays of point indices,
+    broadcast, at least 1-d.
 
     ``master`` is an int of any size or an array of uint64 seeds (such as a
     previous result); indices are integers in [0, 2**32). SeedSequence's hash

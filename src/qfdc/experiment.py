@@ -5,84 +5,43 @@ samples its click record by seeded Monte Carlo at that closed-form mean,
 and provides the sweep drivers for the four standard experiments: the
 pump-power sweep (``run_fig4a``), the count-rate-vs-mu sweep
 (``run_fig4b``), the fringe scan (``run_fig5``), and the visibility-vs-mu
-sweep (``run_fig6``). :func:`chain_point_mean` is the train pipeline's
-reference for the closed form.
+sweep (``run_fig6``). The train pipeline that is the closed form's
+reference, ``chain_point_mean``, is in :mod:`qfdc.reference`.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .detector import (
-    CountSummary,
-    derive_seed,  # the per-point definition of derive_seeds; bench/tracer.py patches it here
-    derive_seeds,
-    sample_gates,
-    sample_scan,
-)
-from .interferometer import gate_mean_photons, transmit_train
-from .mixer import convert
+from .detector import CountSummary, derive_seeds, sample_scan
 from .model import (
     DEFAULT_GATES_PER_POINT,
     DEFAULT_N_PHI,
     ChainParams,
     DetectorSpec,
     _ClosedForm,
-    analytic_visibility,  # no driver calls it; bench/tracer.py patches it here
+    analytic_visibility,  # no driver calls these two; bench/tracer.py patches them here
     expected_rate,
-    noise_background,
-    suppress_background,
 )
-from .optics import PhasePattern, attenuate, coherent_train, transmission_loss_db
 
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_N_SLOTS = 4096
+#: Names of :mod:`qfdc.reference` that bench/tracer.py patches here, imported
+#: on first access (PEP 562) so that a run does not load the reference.
+_REFERENCE = ("attenuate", "chain_point_mean", "coherent_train", "convert", "derive_seed",
+              "sample_gates", "simulate_point", "transmit_train")
 
 
-def chain_point_mean(
-    mu: float, phi: float | None, params: ChainParams, n_slots: int = DEFAULT_N_SLOTS
-) -> float:
-    """Mean photons per gate at the detector via the full train pipeline.
-
-    A reference for :func:`expected_rate`, which the Monte Carlo uses: this
-    propagates an actual finite train of amplitudes, so it includes the
-    non-interfering edge slot of the interferometer (at most 0.2% at the
-    default train length, largest at the fringe minimum). The intrinsic
-    visibility ceiling enters as a partial-coherence blend of the
-    interfering and incoherent port outputs.
-
-    ``phi=None`` means the phi-averaged fringe, as in :func:`expected_rate`;
-    a single train cannot represent that average, so it is rejected when the
-    chain has an interferometer.
-    """
-    if phi is None and params.interferometer is not None:
-        raise ValueError("phi=None (the phi-averaged fringe) has no single-train equivalent")
-    pattern = PhasePattern.alternating(phi) if phi is not None else PhasePattern.uniform(0.0)
-    train = coherent_train(params.converter.process.signal, n_slots, mu, pattern)
-    converted, _ = convert(train, params.converter)
-    converted = attenuate(converted, transmission_loss_db(params.post_converter_transmission))
-    noise = noise_background(params.converter).scaled(params.post_converter_transmission)
-    if params.interferometer is not None:
-        port0 = transmit_train(converted, params.interferometer, port=0)
-        port1 = transmit_train(converted, params.interferometer, port=1)
-        v0 = params.intrinsic_visibility_v0
-        signal = gate_mean_photons(v0 * port0 + (1.0 - v0) * 0.5 * (port0 + port1))
-        noise = suppress_background(noise, params.interferometer)
-    else:
-        signal = converted.mean_photon_number
-    return signal + noise.total_photons_per_gate
-
-
-def simulate_point(
-    mu: float, phi: float | None, params: ChainParams, n_gates: int, seed: int
-) -> CountSummary:
-    """Monte Carlo click record for one scenario point, sampled at the
-    closed-form mean of :func:`expected_rate` (``phi=None``: the phi average)."""
-    return sample_gates(expected_rate(mu, phi, params), params.detector, n_gates, seed)
+def __getattr__(name: str):
+    if name not in _REFERENCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.reference"), name)
+    globals()[name] = value
+    return value
 
 
 # --- fitting helpers -------------------------------------------------------
@@ -326,7 +285,7 @@ def run_fig4b(
     seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2)).ravel()
     clicks = sample_scan(probs, gates_per_point, seeds)
     p, sigma = (a.tolist() for a in _click_arrays(clicks, gates_per_point, 2))
-    # the signal run less the signal-off run, as dark_subtract does for one pair
+    # the signal run less the signal-off run, as reference.dark_subtract does for one pair
     rows = [(mu, p_sig, s_sig, p_sig - p_bg, math.hypot(s_sig, s_bg))
             for mu, (p_sig, p_bg), (s_sig, s_bg) in zip(mus, p, sigma)]
     columns = _table(("mu", "p_raw", "p_raw_sigma", "p_subtracted", "p_subtracted_sigma"), rows)

@@ -15,10 +15,7 @@ from qfdc.calibration import (
     calibrate,
     calibrated_chain,
 )
-from qfdc.detector import sample_gates
 from qfdc.experiment import run_fig4b, run_fig5, run_fig6
-from qfdc.interferometer import transmit_train
-from qfdc.mixer import convert
 from qfdc.model import (
     DetectorSpec,
     InterferometerSpec,
@@ -28,7 +25,15 @@ from qfdc.model import (
     mode_from_wavelength,
     spdc_leak_safe,
 )
-from qfdc.optics import PhasePattern, apply_phase, attenuate, coherent_train
+from qfdc.reference import (
+    PhasePattern,
+    apply_phase,
+    attenuate,
+    coherent_train,
+    convert,
+    sample_gates,
+    transmit_train,
+)
 
 ACCEPT_SEED = 20260810
 

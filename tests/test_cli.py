@@ -14,7 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfdc.calibration import CalibrationContext, CalibrationTargets
-from qfdc.cli import CSV_SCHEMAS, SCENARIOS, ConfigError, load_config, main, run_scenario
+from qfdc.cli import (
+    CSV_SCHEMAS,
+    SCENARIOS,
+    ConfigError,
+    cmd_calibrate,
+    cmd_run,
+    load_config,
+    main,
+    parse_args,
+    run_scenario,
+)
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
@@ -536,6 +546,98 @@ class TestRunCommand:
         raw["chain_from_report"] = str(tmp_path / "missing.json")
         config.write_text(json.dumps(raw))
         assert main(["run", "fig5", str(config)]) == 1
+
+
+#: argv (``{config}`` is a valid config file) and a phrase of the error message.
+_USAGE_ERRORS = {
+    "no-command": ([], "no command"),
+    "unknown-command": (["simulate", "{config}"], "unknown command 'simulate'"),
+    "option-before-command": (["--seed", "7", "run", "fig5", "{config}"],
+                              "unknown command '--seed'"),
+    "missing-positional": (["validate"], "validate takes 1 argument(s) (CONFIG), got 0"),
+    "missing-config": (["run", "fig5"], "run takes 2 argument(s) (SCENARIO CONFIG), got 1"),
+    "extra-positional": (["validate", "{config}", "extra"], "got 2"),
+    "extra-run-positional": (["run", "fig5", "{config}", "extra"], "got 3"),
+    "unknown-option": (["run", "fig5", "{config}", "--verbose"], "unknown option '--verbose'"),
+    "abbreviated-option": (["run", "fig5", "{config}", "--no-inter"],
+                           "unknown option '--no-inter' for run"),
+    "single-dash-option": (["validate", "-v"], "unknown option '-v' for validate"),
+    "dash": (["validate", "-"], "unknown option '-'"),
+    "other-commands-option": (["calibrate", "{config}", "--seed", "7"],
+                              "unknown option '--seed' for calibrate"),
+    "seed-without-value": (["run", "fig5", "{config}", "--seed"], "--seed needs a value"),
+    "seed-not-integer": (["run", "fig5", "{config}", "--seed", "abc"],
+                         "--seed must be an integer, got 'abc'"),
+    "seed-empty": (["run", "fig5", "{config}", "--seed="], "--seed must be an integer, got ''"),
+    "out-without-value": (["calibrate", "{config}", "--out"], "--out needs a value"),
+    "flag-with-value": (["run", "fig5", "{config}", "--no-interferometer=yes"],
+                        "--no-interferometer takes no value"),
+    "unknown-scenario": (["run", "fig7", "{config}"], "unknown scenario 'fig7'"),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, message", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS)
+    def test_usage_error_exits_1_without_traceback(self, tmp_path, capsys, argv, message):
+        config = _fast_config(tmp_path)
+        assert main([arg.format(config=config) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_equals_forms_give_the_same_bytes(self, tmp_path):
+        config = _fast_config(tmp_path)
+        # only the first "=" separates the option from its value
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "seed=7.csv"
+        assert main(["run", "fig5", str(config), "--seed", "7", "--out", str(spaced)]) == 0
+        # options may also come between the positionals
+        assert main(["run", "fig5", "--seed=7", str(config), f"--out={joined}"]) == 0
+        assert joined.read_bytes() == spaced.read_bytes()
+
+    def test_repeated_option_takes_the_last_value(self, tmp_path):
+        config = _fast_config(tmp_path)
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        assert main(["run", "fig5", str(config), "--seed", "7", "--out", str(first)]) == 0
+        assert main(["run", "fig5", str(config), "--seed", "3", "--seed", "7",
+                     "--out", str(tmp_path / "unused.csv"), "--out", str(last)]) == 0
+        assert last.read_bytes() == first.read_bytes()
+        assert not (tmp_path / "unused.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "--help"],
+                                      ["validate", "configs/missing.json", "-h"]])
+    def test_help_exits_0_and_names_every_command(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for command in ("qfdc calibrate CONFIG", "qfdc run", "qfdc validate CONFIG"):
+            assert command in captured.out
+        assert "cannot be abbreviated" in captured.out
+
+    def test_help_exit_code_of_the_process(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from qfdc.cli import main; sys.exit(main())",
+             "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: qfdc calibrate CONFIG")
+
+    def test_namespace_holds_every_positional_and_option(self):
+        args = parse_args(["run", "fig5", "c.json", "--seed=7"])
+        assert (args.command, args.scenario, args.config) == ("run", "fig5", "c.json")
+        assert (args.seed, args.out, args.no_interferometer) == (7, None, False)
+        assert args.func is cmd_run
+        args = parse_args(["calibrate", "c.json", "--out", "r.json"])
+        assert (args.command, args.config, args.out, args.func) == (
+            "calibrate", "c.json", "r.json", cmd_calibrate)
+        assert parse_args(["run", "fig5", "c.json", "--no-interferometer"]).no_interferometer
+        assert parse_args(["run", "fig4a", "c.json", "--seed", "-1"]).seed == -1
 
 
 class TestConfigLoading:

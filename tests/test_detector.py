@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from qfdc.detector import (
     BLOCK_GATES,
     CountSummary,
-    dark_subtract,
-    derive_seed,
     derive_seeds,
-    sample_gates,
     sample_scan,
 )
 from qfdc.model import DetectorSpec, _click_probabilities, click_probability
+from qfdc.reference import dark_subtract, derive_seed, sample_gates
 
 DETECTOR = DetectorSpec()  # 10% efficiency, 2.6e-5 dark, 4 MHz
 

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfdc.detector import CountSummary, dark_subtract, derive_seed
+from qfdc.detector import CountSummary
 from qfdc.experiment import (
     CosineFit,
     ScanResult,
     _click_arrays,
-    chain_point_mean,
     default_phi_grid,
     fit_cosine,
     fit_through_origin,
@@ -19,7 +18,6 @@ from qfdc.experiment import (
     run_fig4b,
     run_fig5,
     run_fig6,
-    simulate_point,
 )
 from qfdc.model import (
     ChainParams,
@@ -31,6 +29,7 @@ from qfdc.model import (
     noise_background,
     suppress_background,
 )
+from qfdc.reference import chain_point_mean, dark_subtract, derive_seed, simulate_point
 
 
 def _signal_photons(mu: float, phi: float | None, params: ChainParams) -> float:

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfdc.interferometer import gate_mean_photons, transmit_train
 from qfdc.model import (
     InterferometerSpec,
     NoiseBackground,
     mode_from_wavelength,
     suppress_background,
 )
-from qfdc.optics import PhasePattern, coherent_train
+from qfdc.reference import PhasePattern, coherent_train, gate_mean_photons, transmit_train
 
 CONVERTED = mode_from_wavelength(1319.1)
 
@@ -53,6 +52,15 @@ class TestTransmitTrain:
         i_min = float(np.mean(transmit_train(train_min, spec)[1:]))
         assert (i_max - i_min) / (i_max + i_min) == pytest.approx(1.0, abs=1e-12)
         assert abs(p_max - i_max) / i_max < 1.0 / 512
+
+    def test_bias_delays_by_plus_theta(self):
+        # slot k has phase k*pi/2, so alpha_{k-1}*exp(i*theta) equals alpha_k
+        # at theta = pi/2: port 0 carries every interior slot, port 1 none
+        spec = InterferometerSpec(phase_bias_theta=math.pi / 2)
+        ramp = PhasePattern.explicit([k * math.pi / 2 for k in range(12)])
+        train = coherent_train(CONVERTED, 12, 0.6, ramp)
+        assert transmit_train(train, spec, port=0)[1:] == pytest.approx([0.6] * 11, rel=1e-12)
+        assert np.all(transmit_train(train, spec, port=1)[1:] < 1e-25)
 
     def test_global_phase_invariance(self):
         spec = InterferometerSpec(phase_bias_theta=0.3)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfdc.mixer import convert
 from qfdc.model import (
     ConverterSpec,
     ProcessKind,
@@ -16,7 +15,7 @@ from qfdc.model import (
     noise_background,
     spdc_leak_safe,
 )
-from qfdc.optics import PhasePattern, coherent_train
+from qfdc.reference import PhasePattern, coherent_train, convert
 
 PUMP = mode_from_wavelength(1551.1)
 SIGNAL = mode_from_wavelength(712.9)

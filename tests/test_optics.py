@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfdc.model import mode_from_angular_frequency, mode_from_wavelength
-from qfdc.optics import (
+from qfdc.reference import (
     CoherentPulseTrain,
     PhasePattern,
     apply_phase,
@@ -131,6 +131,12 @@ class TestApplyPhase:
         signs = np.real(out.amplitudes)
         assert signs[0] > 0 and signs[2] > 0
         assert signs[1] < 0 and signs[3] < 0
+
+    def test_rotates_each_slot_by_plus_its_phase(self):
+        train = coherent_train(SIGNAL, 3, 0.49, PhasePattern.uniform(0.0))
+        out = apply_phase(train, PhasePattern.explicit([0.0, 0.5, -1.2]))
+        assert np.allclose(out.amplitudes, 0.7 * np.exp(1j * np.array([0.0, 0.5, -1.2])),
+                           rtol=0, atol=1e-15)
 
     def test_inverse(self):
         train = coherent_train(SIGNAL, 9, 0.3, PhasePattern.uniform(0.2))

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import qfdc
+from qfdc.cli import USAGE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +44,9 @@ def test_top_level_names_are_the_documented_ones():
     for name in qfdc.__all__:
         assert hasattr(qfdc, name)
         assert f"`{name}`" in section
+
+
+def test_command_line_usage_is_the_cli_help():
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```text\n(.*?)```", section, flags=re.DOTALL)
+    assert blocks == [USAGE]

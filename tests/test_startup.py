@@ -76,6 +76,46 @@ print(json.dumps(loaded))
 """
 
 
+#: The package's modules after each command, and whether argparse or the
+#: reference pipeline was loaded by then.
+_COMMAND_PROBE = """
+import json, sys
+cfg, out = sys.argv[1], sys.argv[2]
+from qfdc.cli import main
+loaded = {}
+for argv in (["validate", cfg], ["calibrate", cfg, "--out", out + "/calibration.json"],
+             ["run", "fig5", cfg, "--out", out + "/fig5.csv"]):
+    assert main(argv) == 0
+    loaded[argv[0]] = {
+        "qfdc": sorted(name for name in sys.modules if name.partition(".")[0] == "qfdc"),
+        "argparse": "argparse" in sys.modules,
+        "reference": "qfdc.reference" in sys.modules,
+    }
+print(json.dumps(loaded))
+"""
+
+#: Whether ``experiment`` loads the reference pipeline only when one of its
+#: traced names is read, and then returns the reference's object.
+_REFERENCE_PROBE = """
+import json, sys
+import qfdc.experiment
+before = "qfdc.reference" in sys.modules
+value = qfdc.experiment.chain_point_mean
+import qfdc.reference
+print(json.dumps({"before": before, "after": "qfdc.reference" in sys.modules,
+                  "same": value is qfdc.reference.chain_point_mean}))
+"""
+
+
+def _run_probe(probe: str, *args: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 @pytest.fixture(scope="module")
 def setup_probe() -> dict:
     env = dict(os.environ)
@@ -171,3 +211,30 @@ def test_every_traced_name_resolves():
     for module_name, attr, *_ in tracer.PATCHES:
         assert module_name in sys.modules, module_name
         assert callable(getattr(sys.modules[module_name], attr, None)), (module_name, attr)
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    config = json.loads((ROOT / "configs" / "default.json").read_text())
+    config["scenarios"]["fig5"] = {"n_phi": 8, "gates_per_point": 1000}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    probe = _run_probe(_COMMAND_PROBE, str(path), str(tmp_path))
+    cli_only = ["qfdc", "qfdc.calibration", "qfdc.cli", "qfdc.model"]
+    assert probe["validate"]["qfdc"] == cli_only
+    assert probe["calibrate"]["qfdc"] == cli_only
+    assert probe["run"]["qfdc"] == [
+        "qfdc", "qfdc.calibration", "qfdc.cli", "qfdc.detector", "qfdc.experiment", "qfdc.model",
+    ]
+    for command in ("validate", "calibrate", "run"):
+        assert not probe[command]["argparse"], command
+        assert not probe[command]["reference"], command
+
+
+def test_traced_name_on_experiment_loads_the_reference():
+    assert _run_probe(_REFERENCE_PROBE) == {"before": False, "after": True, "same": True}
+
+
+def test_experiment_unknown_attribute_raises_attribute_error():
+    experiment = importlib.import_module("qfdc.experiment")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(experiment, "no_such_name")
