@@ -3,17 +3,26 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_17.json
 
+PARENT_DIR is a clone of the parent commit, or an export of it (``git
+archive``) named with ``--parent-commit SHA``; a parent checkout without git
+history is refused unless its commit is named, so every report says which
+commit it measured.
+
 Runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` in
 each checkout, one pair per seed: seeds 200-209, ten pairs, on every
 workload. Pair k runs the parent first when k is even and the change first
-when it is odd, so a drift in machine speed does not favour one side. ``summary`` compares the pairs per
-workload and end-to-end metric; ``runs`` holds every run's JSON line. Uses
-the standard library only; a run that fails is recorded with its exit code
-and standard error, and counts as not correct.
+when it is odd, so a drift in machine speed does not favour one side.
+``summary`` compares the pairs per workload and end-to-end metric, with
+``gain_shown`` true when the change is lower in at least 9 of every 10 pairs
+and the median difference exceeds the parent's interquartile range; ``runs``
+holds every run's JSON line. Uses the standard library only; a run that
+fails is recorded with its exit code and standard error, and counts as not
+correct.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -63,6 +72,7 @@ def summarize(runs: list[dict], workload: str) -> dict:
             "median_difference": parent["median"] - change["median"],
             "parent_iqr": parent["q3"] - parent["q1"],
         }
+        summary[metric]["gain_shown"] = gain_shown(summary[metric])
     summary["failed_over_attempted"] = {
         side: [sum(r.get("failed", 0) for r in results.values()),
                sum(r.get("attempted", 0) for r in results.values())]
@@ -70,6 +80,13 @@ def summarize(runs: list[dict], workload: str) -> dict:
     summary["all_correct"] = all(r.get("correct") for results in by_side.values()
                                  for r in results.values())
     return summary
+
+
+def gain_shown(compared: dict) -> bool:
+    """Whether the pairs show a gain: the change lower in at least 9 of every
+    10 pairs, and the median difference above the parent's IQR."""
+    return (compared["change_lower_in"] >= math.ceil(0.9 * compared["pairs"])
+            and compared["median_difference"] > compared["parent_iqr"])
 
 
 def numpy_version() -> str:
@@ -92,9 +109,17 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workloads", nargs="+", choices=sorted(SEEDS), default=list(SEEDS))
     parser.add_argument("--claim", default="", help="the claim the runs are meant to test")
+    parser.add_argument("--parent-commit", metavar="SHA",
+                        help="the commit of PARENT; required when PARENT has no git history")
     args = parser.parse_args()
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    head = git_head(sides["parent"])
+    if head is None and not args.parent_commit:
+        parser.error(f"{args.parent} has no git history; name its commit with --parent-commit")
+    if head is not None and args.parent_commit and not head.startswith(args.parent_commit):
+        parser.error(f"--parent-commit {args.parent_commit} is not {args.parent}'s HEAD {head}")
+    parent_commit = head or args.parent_commit
     runs = []
     for workload in args.workloads:
         for k, seed in enumerate(SEEDS[workload]):
@@ -115,7 +140,7 @@ def main() -> int:
             "the pairs (quartiles by statistics.quantiles, n=4); `runs` holds every run."),
         "machine": (f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
                     f"Python {platform.python_version()}, numpy {numpy_version()}"),
-        "parent_commit": git_head(sides["parent"]),
+        "parent_commit": parent_commit,
         "claim": args.claim,
         "summary": {w: summarize(runs, w) for w in args.workloads},
         "runs": runs,

@@ -23,7 +23,6 @@ a few percent high, well inside the precision to which they are quoted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
 from .model import (
     ChainParams,
@@ -32,6 +31,8 @@ from .model import (
     InterferometerSpec,
     NoiseBackground,
     ThreeWaveProcess,
+    _Record,
+    _setfield,
     analytic_visibility,
     click_probability,
     conversion_efficiency,
@@ -57,8 +58,7 @@ RESIDUAL_TOLERANCES: dict[str, tuple[str, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class CalibrationTargets:
+class CalibrationTargets(_Record):
     """The six observables the model is pinned to, with their conditions.
 
     Defaults are the measured values of the downconversion experiment this
@@ -68,38 +68,49 @@ class CalibrationTargets:
     visibility at mu = 0.7.
     """
 
-    conversion_efficiency: float = 0.0035
-    pump_power_w: float = 0.027
-    floor_bare: float = 7e-5
-    floor_interferometer: float = 3e-5
-    visibility_high_mu: float = 0.94
-    mu_high: float = 143.0
-    visibility_raw: float = 0.379
-    visibility_subtracted: float = 0.721
-    mu_fringe: float = 0.7
+    __slots__ = ("conversion_efficiency", "pump_power_w", "floor_bare", "floor_interferometer",
+                 "visibility_high_mu", "mu_high", "visibility_raw", "visibility_subtracted",
+                 "mu_fringe")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def __init__(self, conversion_efficiency: float = 0.0035, pump_power_w: float = 0.027,
+                 floor_bare: float = 7e-5, floor_interferometer: float = 3e-5,
+                 visibility_high_mu: float = 0.94, mu_high: float = 143.0,
+                 visibility_raw: float = 0.379, visibility_subtracted: float = 0.721,
+                 mu_fringe: float = 0.7) -> None:
+        _setfield(self, "conversion_efficiency", conversion_efficiency)
+        _setfield(self, "pump_power_w", pump_power_w)
+        _setfield(self, "floor_bare", floor_bare)
+        _setfield(self, "floor_interferometer", floor_interferometer)
+        _setfield(self, "visibility_high_mu", visibility_high_mu)
+        _setfield(self, "mu_high", mu_high)
+        _setfield(self, "visibility_raw", visibility_raw)
+        _setfield(self, "visibility_subtracted", visibility_subtracted)
+        _setfield(self, "mu_fringe", mu_fringe)
+        for name in self.__slots__:
+            v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{f.name} must be finite and > 0, got {v}")
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         for name in ("visibility_high_mu", "visibility_raw", "visibility_subtracted"):
             if getattr(self, name) >= 1.0:
                 raise ValueError(f"{name} must be < 1")
 
 
-@dataclass(frozen=True)
-class CalibrationContext:
+class CalibrationContext(_Record):
     """Apparatus values known independently of the fitted parameters."""
 
-    eta_nor_per_w: float = 2.0
-    detector: DetectorSpec = DetectorSpec()
-    leak_fraction: float = 0.8
-    oob_suppression_db: float = 12.0
-    signal_wavelength_nm: float = SIGNAL_WAVELENGTH_NM
-    pump_wavelength_nm: float = PUMP_WAVELENGTH_NM
+    __slots__ = ("eta_nor_per_w", "detector", "leak_fraction", "oob_suppression_db",
+                 "signal_wavelength_nm", "pump_wavelength_nm")
 
-    def __post_init__(self) -> None:
+    def __init__(self, eta_nor_per_w: float = 2.0, detector: DetectorSpec = DetectorSpec(),
+                 leak_fraction: float = 0.8, oob_suppression_db: float = 12.0,
+                 signal_wavelength_nm: float = SIGNAL_WAVELENGTH_NM,
+                 pump_wavelength_nm: float = PUMP_WAVELENGTH_NM) -> None:
+        _setfield(self, "eta_nor_per_w", eta_nor_per_w)
+        _setfield(self, "detector", detector)
+        _setfield(self, "leak_fraction", leak_fraction)
+        _setfield(self, "oob_suppression_db", oob_suppression_db)
+        _setfield(self, "signal_wavelength_nm", signal_wavelength_nm)
+        _setfield(self, "pump_wavelength_nm", pump_wavelength_nm)
         # build the chain's fixed parts now, so that bad values fail when a
         # configuration is loaded rather than inside a calibration or a run
         converter = ConverterSpec(self.process, self.eta_nor_per_w, 0.0, 0.0,
@@ -137,18 +148,26 @@ BOUNDS: dict[str, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Fitted parameters plus per-observable residuals (model - target)."""
+class CalibrationResult(_Record):
+    """Fitted parameters plus per-observable residuals (model - target);
+    ``predictions`` and ``residuals`` default to new empty dicts."""
 
-    system_transmission: float
-    noise_coeff_beta: float
-    transmission_product: float
-    intrinsic_visibility_v0: float
-    predictions: dict[str, float] = field(default_factory=dict)
-    residuals: dict[str, float] = field(default_factory=dict)
-    feasible: bool = True
-    message: str = ""
+    __slots__ = ("system_transmission", "noise_coeff_beta", "transmission_product",
+                 "intrinsic_visibility_v0", "predictions", "residuals", "feasible", "message")
+
+    def __init__(self, system_transmission: float, noise_coeff_beta: float,
+                 transmission_product: float, intrinsic_visibility_v0: float,
+                 predictions: dict[str, float] | None = None,
+                 residuals: dict[str, float] | None = None, feasible: bool = True,
+                 message: str = "") -> None:
+        _setfield(self, "system_transmission", system_transmission)
+        _setfield(self, "noise_coeff_beta", noise_coeff_beta)
+        _setfield(self, "transmission_product", transmission_product)
+        _setfield(self, "intrinsic_visibility_v0", intrinsic_visibility_v0)
+        _setfield(self, "predictions", {} if predictions is None else predictions)
+        _setfield(self, "residuals", {} if residuals is None else residuals)
+        _setfield(self, "feasible", feasible)
+        _setfield(self, "message", message)
 
     def fitted(self) -> dict[str, float]:
         """The fitted parameters, in :data:`BOUNDS` order."""

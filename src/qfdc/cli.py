@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -28,7 +27,7 @@ from .calibration import (
     calibrated_chain,
     residuals_within_tolerance,
 )
-from .model import DEFAULT_GATES_PER_POINT, DEFAULT_N_PHI, ChainParams
+from .model import DEFAULT_GATES_PER_POINT, DEFAULT_N_PHI, ChainParams, _Record, _setfield
 
 if TYPE_CHECKING:
     from .experiment import ScanResult
@@ -128,92 +127,114 @@ def _object(value, allowed, path: str) -> dict:
     return value
 
 
-#: Parser per field annotation; the field's metadata are its bounds.
-_FIELD_PARSERS = {"float": _number, "int": _integer, "tuple[float, ...]": _grid, "bool": _boolean}
+#: Parser per type of a field's default value.
+_FIELD_PARSERS = {float: _number, int: _integer, tuple: _grid, bool: _boolean}
 _NON_NEGATIVE = {"minimum": 0.0}
 _GATES = {"minimum": 1, "maximum": 10**12}  # 1e12 gates: about 2 s of sampling per point
 _N_PHI = {"minimum": 4, "maximum": 1024}
 
 
 def _section(spec_type: type, raw, path: str):
-    """Read the config section ``path`` into the dataclass that declares it.
+    """Read the config section ``path`` into the record class that declares it.
 
-    The dataclass's fields are the section's keys and their defaults the
-    defaults; a field whose default is itself a dataclass is a nested
-    section. A ``ValueError`` from the dataclass's own checks is a config error.
+    The class's fields (its ``__slots__``) are the section's keys, and the
+    field values of its default instance ``spec_type()`` are their defaults;
+    the type of a default picks the key's parser, and a default that is
+    itself a record is a nested section. The class attribute ``key_bounds``,
+    where present, holds a key's bounds. A ``ValueError`` from the class's
+    own checks is a config error.
     """
-    _object(raw, {f.name for f in fields(spec_type)}, path)
+    keys = spec_type.__slots__
+    _object(raw, keys, path)
+    default = spec_type()
+    bounds = getattr(spec_type, "key_bounds", {})
     values = {}
-    for f in fields(spec_type):
-        if is_dataclass(f.default):
-            values[f.name] = _section(type(f.default), raw.get(f.name, {}), f"{path}.{f.name}")
+    for key in keys:
+        value = getattr(default, key)
+        if isinstance(value, _Record):
+            values[key] = _section(type(value), raw.get(key, {}), f"{path}.{key}")
         else:
-            values[f.name] = _FIELD_PARSERS[f.type](raw, f.name, f.default, path + ".",
-                                                    **f.metadata)
+            values[key] = _FIELD_PARSERS[type(value)](raw, key, value, path + ".",
+                                                      **bounds.get(key, {}))
     try:
         return spec_type(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid {path}: {exc}") from exc
 
 
-# One frozen dataclass per scenario: its fields are the keys of the config
-# section ``scenarios.<name>``, their defaults the default settings.
-# ``run`` takes the full chain and calls the driver by name.
+# One frozen record per scenario: its fields are the keys of the config
+# section ``scenarios.<name>``, their defaults the default settings, and
+# ``key_bounds`` their bounds. ``run`` takes the full chain and calls the
+# driver by name.
 
 
-@dataclass(frozen=True)
-class Fig4a:
+class Fig4a(_Record):
     """Pump-power sweep: conversion efficiency and pump-induced noise."""
 
-    power_mw: tuple[float, ...] = field(
-        default=(0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0), metadata=_NON_NEGATIVE
-    )
-    mu: float = field(default=125.0, metadata={"above": 0.0})
-    gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
+    __slots__ = ("power_mw", "mu", "gates_per_point")
+    key_bounds = {"power_mw": _NON_NEGATIVE, "mu": {"above": 0.0}, "gates_per_point": _GATES}
+
+    def __init__(self,
+                 power_mw: tuple[float, ...] = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0,
+                                                24.0, 27.0),
+                 mu: float = 125.0, gates_per_point: int = DEFAULT_GATES_PER_POINT) -> None:
+        _setfield(self, "power_mw", power_mw)
+        _setfield(self, "mu", mu)
+        _setfield(self, "gates_per_point", gates_per_point)
 
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
         return run_fig4a(chain.without_interferometer(), [p * 1e-3 for p in self.power_mw],
                          mu=self.mu, gates_per_point=self.gates_per_point, seed=seed)
 
 
-@dataclass(frozen=True)
-class Fig4b:
+class Fig4b(_Record):
     """Count rate per gate versus mu, floor-subtracted, with a through-origin fit."""
 
-    mu: tuple[float, ...] = field(
-        default=(0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 125.0), metadata=_NON_NEGATIVE
-    )
-    gates_per_point: int = field(default=100_000_000, metadata=_GATES)
+    __slots__ = ("mu", "gates_per_point")
+    key_bounds = {"mu": _NON_NEGATIVE, "gates_per_point": _GATES}
+
+    def __init__(self, mu: tuple[float, ...] = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 125.0),
+                 gates_per_point: int = 100_000_000) -> None:
+        _setfield(self, "mu", mu)
+        _setfield(self, "gates_per_point", gates_per_point)
 
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
         return run_fig4b(chain.without_interferometer(), self.mu,
                          gates_per_point=self.gates_per_point, seed=seed)
 
 
-@dataclass(frozen=True)
-class Fig5:
+class Fig5(_Record):
     """Fringe scan over the phase-modulation depth (``control``: no interferometer)."""
 
-    mu: float = field(default=0.7, metadata=_NON_NEGATIVE)
-    n_phi: int = field(default=DEFAULT_N_PHI, metadata=_N_PHI)
-    gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
-    control: bool = False
+    __slots__ = ("mu", "n_phi", "gates_per_point", "control")
+    key_bounds = {"mu": _NON_NEGATIVE, "n_phi": _N_PHI, "gates_per_point": _GATES}
+
+    def __init__(self, mu: float = 0.7, n_phi: int = DEFAULT_N_PHI,
+                 gates_per_point: int = DEFAULT_GATES_PER_POINT, control: bool = False) -> None:
+        _setfield(self, "mu", mu)
+        _setfield(self, "n_phi", n_phi)
+        _setfield(self, "gates_per_point", gates_per_point)
+        _setfield(self, "control", control)
 
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
         return run_fig5(chain, self.mu, default_phi_grid(self.n_phi),
                         gates_per_point=self.gates_per_point, seed=seed, control=self.control)
 
 
-@dataclass(frozen=True)
-class Fig6:
+class Fig6(_Record):
     """Fringe visibility versus mu against the analytic curve."""
 
-    mu: tuple[float, ...] = field(
-        default=(0.01, 0.03, 0.09, 0.2, 0.45, 0.7, 1.5, 3.0, 7.0, 15.0, 45.0),
-        metadata=_NON_NEGATIVE,
-    )
-    n_phi: int = field(default=DEFAULT_N_PHI, metadata=_N_PHI)
-    gates_per_point: int = field(default=DEFAULT_GATES_PER_POINT, metadata=_GATES)
+    __slots__ = ("mu", "n_phi", "gates_per_point")
+    key_bounds = {"mu": _NON_NEGATIVE, "n_phi": _N_PHI, "gates_per_point": _GATES}
+
+    def __init__(self,
+                 mu: tuple[float, ...] = (0.01, 0.03, 0.09, 0.2, 0.45, 0.7, 1.5, 3.0, 7.0, 15.0,
+                                          45.0),
+                 n_phi: int = DEFAULT_N_PHI,
+                 gates_per_point: int = DEFAULT_GATES_PER_POINT) -> None:
+        _setfield(self, "mu", mu)
+        _setfield(self, "n_phi", n_phi)
+        _setfield(self, "gates_per_point", gates_per_point)
 
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
         return run_fig6(chain, self.mu, n_phi=self.n_phi,
@@ -223,19 +244,32 @@ class Fig6:
 SCENARIOS = {"fig4a": Fig4a, "fig4b": Fig4b, "fig5": Fig5, "fig6": Fig6}
 
 
-@dataclass
-class ScenarioConfig:
-    """Validated run description: chain source, scenario settings, seed, output."""
+class ScenarioConfig(_Record):
+    """Validated run description: chain source, scenario settings, seed, output.
 
-    seed: int = DEFAULT_SEED
-    output_dir: str | None = None
-    targets: CalibrationTargets = field(default_factory=CalibrationTargets)
-    context: CalibrationContext = field(default_factory=CalibrationContext)
-    chain_params: dict[str, float] | None = None
-    chain_from_report: str | None = None
-    scenarios: dict = field(
-        default_factory=lambda: {name: spec() for name, spec in SCENARIOS.items()}
-    )
+    ``targets``, ``context`` and ``scenarios`` default to new default
+    instances. Unlike the other records, a config is mutable and unhashable.
+    """
+
+    __slots__ = ("seed", "output_dir", "targets", "context", "chain_params",
+                 "chain_from_report", "scenarios")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, seed: int = DEFAULT_SEED, output_dir: str | None = None,
+                 targets: CalibrationTargets | None = None,
+                 context: CalibrationContext | None = None,
+                 chain_params: dict[str, float] | None = None,
+                 chain_from_report: str | None = None, scenarios: dict | None = None) -> None:
+        self.seed = seed
+        self.output_dir = output_dir
+        self.targets = CalibrationTargets() if targets is None else targets
+        self.context = CalibrationContext() if context is None else context
+        self.chain_params = chain_params
+        self.chain_from_report = chain_from_report
+        self.scenarios = ({name: spec() for name, spec in SCENARIOS.items()}
+                          if scenarios is None else scenarios)
 
 
 _TOP_KEYS = {
@@ -335,7 +369,7 @@ def run_scenario(
     if control_override:
         if not hasattr(spec, "control"):
             raise ConfigError(f"--no-interferometer has no meaning for {scenario}")
-        spec = replace(spec, control=True)
+        spec = spec.replace(control=True)
     chain = _chain_from_config(cfg)
     module = sys.modules[__name__]
     for name in _DRIVERS:  # binds each driver as a global for ``spec.run``
@@ -377,7 +411,7 @@ def cmd_calibrate(args) -> int:
         "feasible": result.feasible,
         "within_tolerance": ok,
         "message": result.message,
-        "targets": {f.name: getattr(cfg.targets, f.name) for f in fields(cfg.targets)},
+        "targets": {name: getattr(cfg.targets, name) for name in cfg.targets.__slots__},
     }
     path = _output_path(cfg, args.out, "calibration.json")
     try:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .model import _Record, _setfield
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,15 +35,15 @@ _MAX_SEED = 2**64
 _MASK32 = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class CountSummary:
+class CountSummary(_Record):
     """Aggregated click statistics for a block of gates."""
 
-    gates: int
-    clicks: int
-    gate_rate_hz: float
+    __slots__ = ("gates", "clicks", "gate_rate_hz")
 
-    def __post_init__(self) -> None:
+    def __init__(self, gates: int, clicks: int, gate_rate_hz: float) -> None:
+        _setfield(self, "gates", gates)
+        _setfield(self, "clicks", clicks)
+        _setfield(self, "gate_rate_hz", gate_rate_hz)
         if self.gates < 1 or self.clicks < 0 or self.clicks > self.gates:
             raise ValueError(
                 f"need 0 <= clicks <= gates and gates >= 1, got {self.clicks}/{self.gates}"

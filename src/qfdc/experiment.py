@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import importlib
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .detector import CountSummary, derive_seeds, sample_scan
@@ -23,6 +22,8 @@ from .model import (
     ChainParams,
     DetectorSpec,
     _ClosedForm,
+    _Record,
+    _setfield,
     analytic_visibility,  # no driver calls these two; bench/tracer.py patches them here
     expected_rate,
 )
@@ -47,15 +48,18 @@ def __getattr__(name: str):
 # --- fitting helpers -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosineFit:
+class CosineFit(_Record):
     """Linear least-squares fit of y ~ c0 + c1*cos(phi)."""
 
-    c0: float
-    c1: float
-    c0_sigma: float
-    c1_sigma: float
-    c0c1_cov: float
+    __slots__ = ("c0", "c1", "c0_sigma", "c1_sigma", "c0c1_cov")
+
+    def __init__(self, c0: float, c1: float, c0_sigma: float, c1_sigma: float,
+                 c0c1_cov: float) -> None:
+        _setfield(self, "c0", c0)
+        _setfield(self, "c1", c1)
+        _setfield(self, "c0_sigma", c0_sigma)
+        _setfield(self, "c1_sigma", c1_sigma)
+        _setfield(self, "c0c1_cov", c0c1_cov)
 
     @property
     def visibility(self) -> float:
@@ -104,8 +108,9 @@ def fit_cosine(
     A 1-d ``values`` is one fringe and gives one fit; a 2-d ``values`` and
     ``sigmas`` hold one fringe per row over the same phases and give a list
     of fits. The design matrix [1, cos(phi)] and the inverse of its normal
-    matrix are formed once per call; each fringe then costs the same
-    matrix-vector products as a fit of its own, so its bits are the same.
+    matrix are formed once per call, and the products of all fringes are
+    stacked; numpy computes each fringe's product as it would for a fit of
+    its own, so its bits are the same.
     """
     import numpy as np
     phis = np.asarray(phis, dtype=float)
@@ -113,18 +118,13 @@ def fit_cosine(
     sig = np.asarray(sigmas, dtype=float)
     x = np.column_stack([np.ones_like(phis), np.cos(phis)])
     xtx_inv = np.linalg.inv(x.T @ x)
-    fits = []
-    for y_row, sig_row in zip(np.atleast_2d(y), np.atleast_2d(sig), strict=True):
-        coef = xtx_inv @ (x.T @ y_row)
-        middle = (x * (sig_row**2)[:, None]).T @ x
-        cov = xtx_inv @ middle @ xtx_inv
-        fits.append(CosineFit(
-            c0=float(coef[0]),
-            c1=float(coef[1]),
-            c0_sigma=float(math.sqrt(max(cov[0, 0], 0.0))),
-            c1_sigma=float(math.sqrt(max(cov[1, 1], 0.0))),
-            c0c1_cov=float(cov[0, 1]),
-        ))
+    y_rows, sig_rows = np.atleast_2d(y), np.atleast_2d(sig)
+    coefs = xtx_inv @ (x.T @ y_rows[:, :, None])
+    middle = (x * (sig_rows**2)[:, :, None]).transpose(0, 2, 1) @ x
+    covs = xtx_inv @ middle @ xtx_inv
+    fits = [CosineFit(c0, c1, math.sqrt(max(var0, 0.0)), math.sqrt(max(var1, 0.0)), cov01)
+            for ((c0,), (c1,)), ((var0, cov01), (_, var1))
+            in zip(coefs.tolist(), covs.tolist(), strict=True)]
     return fits if y.ndim == 2 else fits[0]
 
 
@@ -163,20 +163,25 @@ def _estimate(value: float, sigma: float) -> tuple[float, float]:
 # --- scan results ----------------------------------------------------------
 
 
-@dataclass
-class ScanResult:
+class ScanResult(_Record):
     """Tabulated sweep output: ordered columns, one row per scan point.
 
     The first column is the abscissa, and the leading columns are the CSV in
-    CSV order. ``fit`` holds the scalar fit outputs and ``raw`` the per-point
-    signal-run summaries (fig4a, fig4b, fig5).
+    CSV order. ``fit`` holds the scalar fit outputs (a new empty dict by
+    default) and ``raw`` the per-point signal-run summaries (fig4a, fig4b,
+    fig5). Unlike the other records, a scan result is mutable and unhashable.
     """
 
-    columns: dict[str, list[float]]
-    fit: dict[str, float] = field(default_factory=dict)
-    raw: list[CountSummary] | None = None
+    __slots__ = ("columns", "fit", "raw")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, columns: dict[str, list[float]], fit: dict[str, float] | None = None,
+                 raw: list[CountSummary] | None = None) -> None:
+        self.columns = columns
+        self.fit = {} if fit is None else fit
+        self.raw = raw
         n = len(self.abscissa)
         if self.raw is not None and len(self.raw) != n:
             raise ValueError(f"raw has {len(self.raw)} entries for {n} points")

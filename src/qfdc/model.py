@@ -18,7 +18,6 @@ that conversion refuses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0  # exact by definition
@@ -27,19 +26,67 @@ _TWO_PI_C = 2.0 * math.pi * SPEED_OF_LIGHT_M_PER_S
 
 _REL_TOL = 1e-9
 
-#: Scenario defaults; the scenario dataclasses in ``qfdc.cli`` need them
-#: when their classes are built, before any driver is imported.
+#: Scenario defaults; the scenario classes in ``qfdc.cli`` need them when
+#: their classes are built, before any driver is imported.
 DEFAULT_GATES_PER_POINT = 40_000_000  # 10 s at the 4 MHz gate rate
 DEFAULT_N_PHI = 16
 
+#: Sets a field of a record in its ``__init__``, past the record's own
+#: ``__setattr__``.
+_setfield = object.__setattr__
 
-@dataclass(frozen=True)
-class OpticalMode:
+
+class _Record:
+    """Base of the package's value classes.
+
+    A subclass lists its fields in ``__slots__``, in order, and sets each in
+    its own ``__init__`` with :data:`_setfield`, then runs its checks. The
+    base makes instances immutable, compares and hashes them by their field
+    values, writes the repr as ``Name(field=value, ...)``, and copies and
+    pickles them through the constructor. A mutable subclass restores
+    ``object``'s ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to
+    ``None``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A new instance with ``changes`` applied, built and checked by the
+        constructor."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+
+class OpticalMode(_Record):
     """A wavelength channel, fixed by its vacuum wavelength in nm."""
 
-    wavelength_nm: float
+    __slots__ = ("wavelength_nm",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, wavelength_nm: float) -> None:
+        _setfield(self, "wavelength_nm", wavelength_nm)
         # checked in metres: a subnormal wavelength in nm underflows to 0 m
         if not (math.isfinite(self.wavelength_nm) and self.wavelength_nm * 1e-9 > 0.0):
             raise ValueError(f"wavelength_nm must be finite and > 0, got {self.wavelength_nm}")
@@ -70,16 +117,17 @@ class ProcessKind(Enum):
     AMPLIFIER = "amplifier"
 
 
-@dataclass(frozen=True)
-class ThreeWaveProcess:
+class ThreeWaveProcess(_Record):
     """A pump/signal/converted mode triple satisfying energy conservation."""
 
-    pump: OpticalMode
-    signal: OpticalMode
-    converted: OpticalMode
-    kind: ProcessKind
+    __slots__ = ("pump", "signal", "converted", "kind")
 
-    def __post_init__(self) -> None:
+    def __init__(self, pump: OpticalMode, signal: OpticalMode, converted: OpticalMode,
+                 kind: ProcessKind) -> None:
+        _setfield(self, "pump", pump)
+        _setfield(self, "signal", signal)
+        _setfield(self, "converted", converted)
+        _setfield(self, "kind", kind)
         w_p = self.pump.angular_frequency
         w_s = self.signal.angular_frequency
         w_c = self.converted.angular_frequency
@@ -126,8 +174,7 @@ def spdc_leak_safe(process: ThreeWaveProcess) -> bool:
     return process.converted.angular_frequency > process.pump.angular_frequency
 
 
-@dataclass(frozen=True)
-class ConverterSpec:
+class ConverterSpec(_Record):
     """Operating parameters of the fiber-coupled waveguide converter.
 
     ``eta_nor_per_w`` is the normalized mixing efficiency (1/W), so the
@@ -139,14 +186,18 @@ class ConverterSpec:
     and in-band Raman scattering (the remainder).
     """
 
-    process: ThreeWaveProcess
-    eta_nor_per_w: float
-    pump_power_w: float
-    system_transmission: float
-    noise_coeff_beta: float = 0.0
-    leak_fraction: float = 0.8
+    __slots__ = ("process", "eta_nor_per_w", "pump_power_w", "system_transmission",
+                 "noise_coeff_beta", "leak_fraction")
 
-    def __post_init__(self) -> None:
+    def __init__(self, process: ThreeWaveProcess, eta_nor_per_w: float, pump_power_w: float,
+                 system_transmission: float, noise_coeff_beta: float = 0.0,
+                 leak_fraction: float = 0.8) -> None:
+        _setfield(self, "process", process)
+        _setfield(self, "eta_nor_per_w", eta_nor_per_w)
+        _setfield(self, "pump_power_w", pump_power_w)
+        _setfield(self, "system_transmission", system_transmission)
+        _setfield(self, "noise_coeff_beta", noise_coeff_beta)
+        _setfield(self, "leak_fraction", leak_fraction)
         if not (math.isfinite(self.eta_nor_per_w) and self.eta_nor_per_w >= 0.0):
             raise ValueError(f"eta_nor_per_w must be >= 0, got {self.eta_nor_per_w}")
         if not (math.isfinite(self.pump_power_w) and self.pump_power_w >= 0.0):
@@ -177,8 +228,7 @@ def conversion_efficiency(spec: ConverterSpec) -> float:
     return spec.system_transmission * spec.internal_conversion_probability
 
 
-@dataclass(frozen=True)
-class NoiseBackground:
+class NoiseBackground(_Record):
     """Incoherent Poissonian background, mean photons per gate.
 
     Both components live in the converted-photon detection band at the
@@ -186,10 +236,11 @@ class NoiseBackground:
     light (out of band for downstream filters), ``raman`` is in-band.
     """
 
-    leak_photons_per_gate: float
-    raman_photons_per_gate: float
+    __slots__ = ("leak_photons_per_gate", "raman_photons_per_gate")
 
-    def __post_init__(self) -> None:
+    def __init__(self, leak_photons_per_gate: float, raman_photons_per_gate: float) -> None:
+        _setfield(self, "leak_photons_per_gate", leak_photons_per_gate)
+        _setfield(self, "raman_photons_per_gate", raman_photons_per_gate)
         for name in ("leak_photons_per_gate", "raman_photons_per_gate"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
@@ -216,14 +267,14 @@ def noise_background(spec: ConverterSpec) -> NoiseBackground:
     return NoiseBackground(leak, total - leak)
 
 
-@dataclass(frozen=True)
-class InterferometerSpec:
+class InterferometerSpec(_Record):
     """Arm phase bias and out-of-band rejection."""
 
-    phase_bias_theta: float = 0.0
-    oob_suppression_db: float = 12.0
+    __slots__ = ("phase_bias_theta", "oob_suppression_db")
 
-    def __post_init__(self) -> None:
+    def __init__(self, phase_bias_theta: float = 0.0, oob_suppression_db: float = 12.0) -> None:
+        _setfield(self, "phase_bias_theta", phase_bias_theta)
+        _setfield(self, "oob_suppression_db", oob_suppression_db)
         if not math.isfinite(self.phase_bias_theta):
             raise ValueError(f"phase_bias_theta must be finite, got {self.phase_bias_theta}")
         if math.isnan(self.oob_suppression_db) or self.oob_suppression_db < 0.0:
@@ -244,15 +295,16 @@ def suppress_background(bg: NoiseBackground, spec: InterferometerSpec) -> NoiseB
     )
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(_Record):
     """Gated detector: efficiency, dark count probability, gate rate."""
 
-    efficiency: float = 0.10
-    dark_prob_per_gate: float = 2.6e-5
-    gate_rate_hz: float = 4.0e6
+    __slots__ = ("efficiency", "dark_prob_per_gate", "gate_rate_hz")
 
-    def __post_init__(self) -> None:
+    def __init__(self, efficiency: float = 0.10, dark_prob_per_gate: float = 2.6e-5,
+                 gate_rate_hz: float = 4.0e6) -> None:
+        _setfield(self, "efficiency", efficiency)
+        _setfield(self, "dark_prob_per_gate", dark_prob_per_gate)
+        _setfield(self, "gate_rate_hz", gate_rate_hz)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
         if not 0.0 <= self.dark_prob_per_gate <= 1.0:
@@ -279,8 +331,7 @@ def _click_probabilities(means: list[float], spec: DetectorSpec) -> list[float]:
     return [d + (1.0 - d) * -math.expm1(-eta * mu) for mu in means]
 
 
-@dataclass(frozen=True)
-class ChainParams:
+class ChainParams(_Record):
     """Everything between the source and the click record.
 
     ``post_converter_transmission`` is the broadband transmission from the
@@ -291,13 +342,18 @@ class ChainParams:
     imbalance.
     """
 
-    converter: ConverterSpec
-    detector: DetectorSpec
-    interferometer: InterferometerSpec | None = None
-    post_converter_transmission: float = 1.0
-    intrinsic_visibility_v0: float = 1.0
+    __slots__ = ("converter", "detector", "interferometer", "post_converter_transmission",
+                 "intrinsic_visibility_v0")
 
-    def __post_init__(self) -> None:
+    def __init__(self, converter: ConverterSpec, detector: DetectorSpec,
+                 interferometer: InterferometerSpec | None = None,
+                 post_converter_transmission: float = 1.0,
+                 intrinsic_visibility_v0: float = 1.0) -> None:
+        _setfield(self, "converter", converter)
+        _setfield(self, "detector", detector)
+        _setfield(self, "interferometer", interferometer)
+        _setfield(self, "post_converter_transmission", post_converter_transmission)
+        _setfield(self, "intrinsic_visibility_v0", intrinsic_visibility_v0)
         if not 0.0 <= self.post_converter_transmission <= 1.0:
             raise ValueError(
                 "post_converter_transmission must be in [0, 1], "
@@ -309,10 +365,10 @@ class ChainParams:
             )
 
     def without_interferometer(self) -> "ChainParams":
-        return replace(self, interferometer=None)
+        return self.replace(interferometer=None)
 
     def at_pump_power(self, pump_power_w: float) -> "ChainParams":
-        return replace(self, converter=replace(self.converter, pump_power_w=pump_power_w))
+        return self.replace(converter=self.converter.replace(pump_power_w=pump_power_w))
 
 
 class _ClosedForm:

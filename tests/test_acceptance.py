@@ -206,12 +206,9 @@ def _random_train(rng, n_slots=8):
 
 
 def test_criterion_6a_conversion_unitarity(chain):
-    import dataclasses
-
     rng = np.random.default_rng(61)
     for _ in range(1000):
-        spec = dataclasses.replace(
-            chain.converter,
+        spec = chain.converter.replace(
             system_transmission=1.0,
             pump_power_w=float(rng.uniform(0.0, 2.0)),
         )

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -100,7 +99,7 @@ class TestCalibrate:
     def test_residual_equal_to_its_tolerance_is_within(self, calibration, targets):
         residuals = dict.fromkeys(calibration.residuals, 0.0)
         residuals["visibility_high_mu"] = RESIDUAL_TOLERANCES["visibility_high_mu"][1]
-        at_edge = dataclasses.replace(calibration, residuals=residuals)
+        at_edge = calibration.replace(residuals=residuals)
         assert residuals_within_tolerance(at_edge, targets)
 
     def test_round_trip(self, calibration, targets):

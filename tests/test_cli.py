@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfdc.calibration import CalibrationContext, CalibrationTargets
+from qfdc.model import _Record
 from qfdc.cli import (
     CSV_SCHEMAS,
     SCENARIOS,
@@ -640,6 +640,26 @@ class TestParser:
         assert parse_args(["run", "fig4a", "c.json", "--seed", "-1"]).seed == -1
 
 
+#: Every bounded scenario key, as the README states its bounds: an edge
+#: value that loads, a value just past it and the error that value gives.
+_SCENARIO_BOUNDS = [
+    ("fig4a", "power_mw", [0.0], [-1e-9], "must be >= 0.0"),
+    ("fig4a", "mu", 5e-324, 0.0, "must be > 0.0"),
+    ("fig4b", "mu", [0.0], [-1e-9], "must be >= 0.0"),
+    ("fig5", "mu", 0.0, -1e-9, "must be >= 0.0"),
+    ("fig6", "mu", [0.0], [-1e-9], "must be >= 0.0"),
+] + [
+    (scenario, "n_phi", edge, rejected, message)
+    for scenario in ("fig5", "fig6")
+    for edge, rejected, message in ((4, 3, "must be >= 4"), (1024, 1025, "must be <= 1024"))
+] + [
+    (scenario, "gates_per_point", edge, rejected, message)
+    for scenario in sorted(SCENARIOS)
+    for edge, rejected, message in ((1, 0, "must be >= 1"),
+                                    (10**12, 10**12 + 1, "must be <= 1000000000000"))
+]
+
+
 class TestConfigLoading:
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "minimal.json"
@@ -683,6 +703,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("scenario, key, edge, rejected, message", _SCENARIO_BOUNDS,
+                             ids=[f"{s}.{k}={r}" for s, k, _, r, _ in _SCENARIO_BOUNDS])
+    def test_scenario_key_bounds(self, tmp_path, scenario, key, edge, rejected, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenarios": {scenario: {key: edge}}}))
+        value = getattr(load_config(path).scenarios[scenario], key)
+        assert value == (tuple(edge) if isinstance(edge, list) else edge)
+        path.write_text(json.dumps({"scenarios": {scenario: {key: rejected}}}))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"key scenarios.{scenario}.{key!r} {message}"
+
 
 # --- generated configs --------------------------------------------------------
 
@@ -714,25 +746,27 @@ def _near(default: float):
     return st.one_of(st.floats(min_value=0.0, max_value=2.0 * default), _TINY, _ANY)
 
 
-def _value(f):
-    """Values for a declared config field: of its type or anything at all;
-    a field whose default is a dataclass is a nested section."""
-    if is_dataclass(f.default):
-        return _section(type(f.default))
-    if f.type == "float":
-        return _near(f.default)
+def _value(default):
+    """Values for a config key with this default: of its type or anything at
+    all; a default that is a record is a nested section. The keys and their
+    defaults are read as ``qfdc.cli._section`` reads them."""
+    if isinstance(default, _Record):
+        return _section(type(default))
+    if type(default) is float:
+        return _near(default)
     typed = {
-        "int": st.integers(min_value=1, max_value=1000),
-        "bool": st.booleans(),
-        "tuple[float, ...]": st.lists(
+        int: st.integers(min_value=1, max_value=1000),
+        bool: st.booleans(),
+        tuple: st.lists(
             st.one_of(st.floats(min_value=0.0, max_value=200.0), _ANY), min_size=1, max_size=3
         ),
-    }[f.type]
+    }[type(default)]
     return st.one_of(typed, _ANY)
 
 
 def _section(spec_type):
-    optional = {f.name: _value(f) for f in fields(spec_type)}
+    default = spec_type()
+    optional = {key: _value(getattr(default, key)) for key in spec_type.__slots__}
     optional["unknown_key"] = st.just(1)
     return st.fixed_dictionaries({}, optional=optional)
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,17 +115,14 @@ class TestClosedFormGrid:
             _ClosedForm(chain).grid([math.nan], [0.0])
         # an infinite mu at a fringe factor of 0 gives a NaN total
         with pytest.raises(ValueError, match="mean photons must be >= 0"):
-            _ClosedForm(replace(chain, intrinsic_visibility_v0=1.0)).grid([math.inf], [math.pi])
+            _ClosedForm(chain.replace(intrinsic_visibility_v0=1.0)).grid([math.inf], [math.pi])
 
 
 class TestAnalyticVisibility:
     def test_background_free_chain_reaches_v0(self, chain):
-        import dataclasses
-
-        clean = dataclasses.replace(
-            chain,
-            converter=dataclasses.replace(chain.converter, noise_coeff_beta=0.0),
-            detector=dataclasses.replace(chain.detector, dark_prob_per_gate=0.0),
+        clean = chain.replace(
+            converter=chain.converter.replace(noise_coeff_beta=0.0),
+            detector=chain.detector.replace(dark_prob_per_gate=0.0),
         )
         for mu in (1e-4, 0.7, 143.0):
             pair = analytic_visibility(mu, clean)
@@ -178,11 +174,8 @@ class TestChainPointMean:
             assert signal == pytest.approx(mu * base, rel=1e-9)
 
     def test_phase_bias_enters_fringe(self, chain):
-        import dataclasses
-
-        biased = dataclasses.replace(
-            chain,
-            interferometer=dataclasses.replace(chain.interferometer, phase_bias_theta=0.7),
+        biased = chain.replace(
+            interferometer=chain.interferometer.replace(phase_bias_theta=0.7),
         )
         train_mean = chain_point_mean(0.7, 0.9, biased, n_slots=4096)
         assert train_mean == pytest.approx(expected_rate(0.7, 0.9, biased), rel=5e-4)
@@ -241,7 +234,41 @@ def _reference_cosine_fit(phis, values, sigmas) -> CosineFit:
     )
 
 
+def _row_by_row_cosine_fits(phis, values, sigmas) -> list[CosineFit]:
+    """The fits of :func:`fit_cosine` one fringe at a time, over one shared
+    design: the loop that the stacked products replace."""
+    phis = np.asarray(phis, dtype=float)
+    x = np.column_stack([np.ones_like(phis), np.cos(phis)])
+    xtx_inv = np.linalg.inv(x.T @ x)
+    fits = []
+    for y_row, sig_row in zip(np.atleast_2d(values), np.atleast_2d(sigmas), strict=True):
+        coef = xtx_inv @ (x.T @ y_row)
+        cov = xtx_inv @ ((x * (sig_row**2)[:, None]).T @ x) @ xtx_inv
+        fits.append(CosineFit(float(coef[0]), float(coef[1]),
+                              float(math.sqrt(max(cov[0, 0], 0.0))),
+                              float(math.sqrt(max(cov[1, 1], 0.0))), float(cov[0, 1])))
+    return fits
+
+
 class TestFitHelpers:
+    @pytest.mark.parametrize("n_phi", [4, 5, 16, 64, 1024])
+    @pytest.mark.parametrize("n_fringes", [1, 3, 11])
+    def test_stacked_fits_are_the_row_by_row_fits(self, n_phi, n_fringes):
+        rng = np.random.default_rng(1000 * n_phi + n_fringes)
+        phis = default_phi_grid(n_phi)
+        values = rng.uniform(0.0, 1e-2, (n_fringes, n_phi))
+        sigmas = 10.0 ** rng.uniform(-12.0, -3.0, (n_fringes, n_phi))
+        stacked = fit_cosine(phis, values, sigmas)
+        loop = _row_by_row_cosine_fits(phis, values, sigmas)
+        assert stacked == loop
+        assert [f.c0c1_cov.hex() for f in stacked] == [f.c0c1_cov.hex() for f in loop]
+
+    @pytest.mark.parametrize("n_values, n_sigmas", [(2, 3), (3, 2), (1, 2), (2, 1)])
+    def test_cosine_fit_rejects_mismatched_rows(self, n_values, n_sigmas):
+        phis = default_phi_grid(8)
+        with pytest.raises(ValueError):
+            fit_cosine(phis, np.full((n_values, 8), 1e-4), np.full((n_sigmas, 8), 1e-7))
+
     def test_cosine_fit_recovers_exact_coefficients(self):
         phis = default_phi_grid(16)
         c0, c1 = 3.5e-5, 1.2e-5
@@ -283,7 +310,7 @@ class TestFitHelpers:
         at = CosineFit(c0=0.5, c1=0.1, c0_sigma=0.25, c1_sigma=0.01, c0c1_cov=0.0)
         assert math.isnan(at.visibility_dark_subtracted(0.25))
         assert math.isnan(at.visibility_dark_subtracted_sigma(0.25))
-        below = replace(at, c0_sigma=math.nextafter(0.25, 0.0))
+        below = at.replace(c0_sigma=math.nextafter(0.25, 0.0))
         assert math.isfinite(below.visibility_dark_subtracted(0.25))
         assert math.isfinite(below.visibility_dark_subtracted_sigma(0.25))
 
@@ -414,7 +441,7 @@ class TestScenarioDrivers:
         # run_fig6 fits through the module's fit_cosine, which the bench
         # tracer wraps; a visibility of exactly three sigmas is not detected
         at = CosineFit(c0=1.0, c1=0.75, c0_sigma=0.0, c1_sigma=0.25, c0c1_cov=0.0)
-        above = replace(at, c1_sigma=0.2499)
+        above = at.replace(c1_sigma=0.2499)
         assert at.visibility == 3.0 * at.visibility_sigma
         monkeypatch.setattr("qfdc.experiment.fit_cosine", lambda phis, p, sigma: [at, above])
         scan = run_fig6(chain, [0.7, 45.0], 4, 1000)
@@ -569,9 +596,9 @@ class TestScansMatchPointByPoint:
         built = []
 
         class Counting(CountSummary):
-            def __post_init__(self):
+            def __init__(self, *args):
                 built.append(self)
-                super().__post_init__()
+                super().__init__(*args)
 
         monkeypatch.setattr("qfdc.experiment.CountSummary", Counting)
         grid = [0.0, 0.0135, 0.027] if driver is run_fig4a else [0.0, 0.3, 10.0]
@@ -655,17 +682,15 @@ class TestFrozenScans:
 
 class TestChainParams:
     def test_validation(self, chain):
-        import dataclasses
-
         with pytest.raises(ValueError):
-            dataclasses.replace(chain, post_converter_transmission=1.5)
+            chain.replace(post_converter_transmission=1.5)
         with pytest.raises(ValueError):
-            dataclasses.replace(chain, intrinsic_visibility_v0=-0.1)
+            chain.replace(intrinsic_visibility_v0=-0.1)
 
     @pytest.mark.parametrize("name", ["post_converter_transmission", "intrinsic_visibility_v0"])
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_bounds_are_closed(self, chain, name, value):
-        assert getattr(replace(chain, **{name: value}), name) == value
+        assert getattr(chain.replace(**{name: value}), name) == value
 
     def test_without_interferometer(self, chain):
         bare = chain.without_interferometer()

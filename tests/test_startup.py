@@ -1,5 +1,6 @@
 """What importing the package and its command line loads and provides."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -23,16 +24,18 @@ LAZY_NAMES = {
     "run_fig6": "experiment",
 }
 
-#: The package's modules after the set-up the bench times, and then whether
-#: each lazy name is its module's object when it is first accessed.
+#: The package's modules after the set-up the bench times, whether that
+#: set-up loaded ``dataclasses`` or ``inspect``, and then whether each lazy
+#: name is its module's object when it is first accessed.
 _SETUP_PROBE = """
 import importlib, json, sys
 import qfdc
 qfdc.calibrated_chain(qfdc.calibrate())
 loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "qfdc")
+stdlib = {name: name in sys.modules for name in ("dataclasses", "inspect")}
 same = {name: getattr(qfdc, name) is getattr(importlib.import_module("qfdc." + module), name)
         for name, module in json.loads(sys.argv[1]).items()}
-print(json.dumps({"loaded": loaded, "same": same}))
+print(json.dumps({"loaded": loaded, "stdlib": stdlib, "same": same}))
 """
 
 #: Records whether numpy is loaded after each start-up step, then after a run.
@@ -76,8 +79,8 @@ print(json.dumps(loaded))
 """
 
 
-#: The package's modules after each command, and whether argparse or the
-#: reference pipeline was loaded by then.
+#: The package's modules after each command, and whether argparse, the
+#: reference pipeline, ``dataclasses`` or ``inspect`` was loaded by then.
 _COMMAND_PROBE = """
 import json, sys
 cfg, out = sys.argv[1], sys.argv[2]
@@ -90,6 +93,8 @@ for argv in (["validate", cfg], ["calibrate", cfg, "--out", out + "/calibration.
         "qfdc": sorted(name for name in sys.modules if name.partition(".")[0] == "qfdc"),
         "argparse": "argparse" in sys.modules,
         "reference": "qfdc.reference" in sys.modules,
+        "dataclasses": "dataclasses" in sys.modules,
+        "inspect": "inspect" in sys.modules,
     }
 print(json.dumps(loaded))
 """
@@ -130,6 +135,10 @@ def setup_probe() -> dict:
 
 def test_set_up_loads_only_the_model_and_the_calibration(setup_probe):
     assert setup_probe["loaded"] == ["qfdc", "qfdc.calibration", "qfdc.model"]
+
+
+def test_set_up_loads_neither_dataclasses_nor_inspect(setup_probe):
+    assert setup_probe["stdlib"] == {"dataclasses": False, "inspect": False}
 
 
 def test_lazy_names_are_their_modules_objects(setup_probe):
@@ -228,6 +237,21 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     for command in ("validate", "calibrate", "run"):
         assert not probe[command]["argparse"], command
         assert not probe[command]["reference"], command
+        assert not probe[command]["dataclasses"], command
+    # numpy loads ``inspect`` for ``run``; the package itself never does
+    assert not probe["validate"]["inspect"]
+    assert not probe["calibrate"]["inspect"]
+
+
+def test_only_the_reference_imports_dataclasses():
+    importers = []
+    for path in sorted((ROOT / "src" / "qfdc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                importers.append(path.name)
+    assert importers == ["reference.py"]
 
 
 def test_traced_name_on_experiment_loads_the_reference():
