@@ -3,10 +3,9 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_17.json
 
-PARENT_DIR is a clone of the parent commit, or an export of it (``git
-archive``) named with ``--parent-commit SHA``; a parent checkout without git
-history is refused unless its commit is named, so every report says which
-commit it measured.
+PARENT_DIR must be a ``git clone`` of the parent commit (cloning works
+offline); a checkout without git history is refused, so every report names
+the commit it measured.
 
 Runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` in
 each checkout, one pair per seed: seeds 200-209, ten pairs, on every
@@ -109,17 +108,12 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workloads", nargs="+", choices=sorted(SEEDS), default=list(SEEDS))
     parser.add_argument("--claim", default="", help="the claim the runs are meant to test")
-    parser.add_argument("--parent-commit", metavar="SHA",
-                        help="the commit of PARENT; required when PARENT has no git history")
     args = parser.parse_args()
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    head = git_head(sides["parent"])
-    if head is None and not args.parent_commit:
-        parser.error(f"{args.parent} has no git history; name its commit with --parent-commit")
-    if head is not None and args.parent_commit and not head.startswith(args.parent_commit):
-        parser.error(f"--parent-commit {args.parent_commit} is not {args.parent}'s HEAD {head}")
-    parent_commit = head or args.parent_commit
+    parent_commit = git_head(sides["parent"])
+    if parent_commit is None:
+        parser.error(f"{args.parent} has no git history; pass a `git clone` of the parent commit")
     runs = []
     for workload in args.workloads:
         for k, seed in enumerate(SEEDS[workload]):

@@ -2,10 +2,14 @@
 """Operator mutation study of one module, written as one JSON report.
 
     python3 scripts/mutation.py src/qfdc/experiment.py --out MUTATION.json
+    python3 scripts/mutation.py src/qfdc/model.py --text-mutants scripts/mutants/model.json
 
 Each mutant swaps one operator of the module: ``+``/``-``, ``*``/``/``,
 ``<``/``<=`` or ``>``/``>=`` (binary operations and comparisons found with
-``ast``; only the operator's characters change, so line numbers hold). The
+``ast``; only the operator's characters change, so line numbers hold).
+``--text-mutants`` adds hand-made mutants for code with no operator to
+swap: a JSON list of ``{"mutant": label, "module": path, "from": text,
+"to": text}``, each replacing one source text that occurs exactly once. The
 tree is copied once to a temporary directory, and each mutant is written
 into the copy and tested there, one after another, with
 ``python -m pytest -x -q``; the working tree is never touched, and a
@@ -91,18 +95,30 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="path of the module to mutate, relative to the repo root")
     parser.add_argument("--out", default="MUTATION.json", help="report path")
+    parser.add_argument("--text-mutants", type=Path, help="JSON list of hand-made mutants")
     args = parser.parse_args()
-    path = (ROOT / args.module).resolve()
-    if not (path.is_relative_to(ROOT) and path.is_file()):
-        parser.error(f"{args.module} is not a file in {ROOT}")
-    module = path.relative_to(ROOT)
-    source = path.read_text()
-    todo = sites(source)
+
+    def source_of(name: str) -> tuple[Path, str]:
+        path = (ROOT / name).resolve()
+        if not (path.is_relative_to(ROOT) and path.is_file()):
+            parser.error(f"{name} is not a file in {ROOT}")
+        return path.relative_to(ROOT), path.read_text()
+
+    module, source = source_of(args.module)
+    # (what a survivor records, the module it mutates, the mutated source)
+    todo = [({"line": line, "col": col, "from": op, "to": SWAPS[op],
+              "code": source.splitlines()[line - 1].strip()}, module, mutate(source, line, col, op))
+            for line, col, op in sites(source)]
+    for m in json.loads(args.text_mutants.read_text()) if args.text_mutants else []:
+        path, text = source_of(m["module"])
+        if text.count(m["from"]) != 1:
+            parser.error(f"mutant {m['mutant']!r}: its 'from' text occurs "
+                         f"{text.count(m['from'])} times in {path}, not once")
+        todo.append((m, path, text.replace(m["from"], m["to"])))
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
-        target = copy / module
         base = run_pytest(copy, ["-rfE"], None)
         failing = re.findall(r"^(?:FAILED|ERROR) (\S+)", base.stdout, re.M)
         deselect = [arg for test in failing for arg in ("--deselect", test)]
@@ -113,19 +129,23 @@ def main() -> int:
             return 1
         print(f"{len(todo)} mutants; deselected {failing}", file=sys.stderr)
         survivors, timeouts, start = [], 0, time.perf_counter()
-        for k, (line, col, op) in enumerate(todo, 1):
-            target.write_text(mutate(source, line, col, op))
+        for k, (record, path, mutated) in enumerate(todo, 1):
+            original = (copy / path).read_text()
+            (copy / path).write_text(mutated)
             try:
                 killed = run_pytest(copy, ["-x", *deselect], TIMEOUT_S).returncode != 0
             except subprocess.TimeoutExpired:
                 killed, timeouts = True, timeouts + 1
+            (copy / path).write_text(original)
             if not killed:
-                survivors.append({"line": line, "col": col, "from": op, "to": SWAPS[op],
-                                  "code": source.splitlines()[line - 1].strip()})
-            print(f"[{k}/{len(todo)}] {module}:{line}:{col} {op} -> {SWAPS[op]}: "
-                  f"{'killed' if killed else 'SURVIVED'}", file=sys.stderr)
+                survivors.append(record)
+            label = record.get("mutant") or (f"{path}:{record['line']}:{record['col']} "
+                                             f"{record['from']} -> {record['to']}")
+            print(f"[{k}/{len(todo)}] {label}: {'killed' if killed else 'SURVIVED'}",
+                  file=sys.stderr)
     report = {
         "module": str(module),
+        "text_mutants": str(args.text_mutants) if args.text_mutants else None,
         "mutants": len(todo),
         "killed": len(todo) - len(survivors),
         "timeouts": timeouts,

@@ -234,35 +234,7 @@ def _reference_cosine_fit(phis, values, sigmas) -> CosineFit:
     )
 
 
-def _row_by_row_cosine_fits(phis, values, sigmas) -> list[CosineFit]:
-    """The fits of :func:`fit_cosine` one fringe at a time, over one shared
-    design: the loop that the stacked products replace."""
-    phis = np.asarray(phis, dtype=float)
-    x = np.column_stack([np.ones_like(phis), np.cos(phis)])
-    xtx_inv = np.linalg.inv(x.T @ x)
-    fits = []
-    for y_row, sig_row in zip(np.atleast_2d(values), np.atleast_2d(sigmas), strict=True):
-        coef = xtx_inv @ (x.T @ y_row)
-        cov = xtx_inv @ ((x * (sig_row**2)[:, None]).T @ x) @ xtx_inv
-        fits.append(CosineFit(float(coef[0]), float(coef[1]),
-                              float(math.sqrt(max(cov[0, 0], 0.0))),
-                              float(math.sqrt(max(cov[1, 1], 0.0))), float(cov[0, 1])))
-    return fits
-
-
 class TestFitHelpers:
-    @pytest.mark.parametrize("n_phi", [4, 5, 16, 64, 1024])
-    @pytest.mark.parametrize("n_fringes", [1, 3, 11])
-    def test_stacked_fits_are_the_row_by_row_fits(self, n_phi, n_fringes):
-        rng = np.random.default_rng(1000 * n_phi + n_fringes)
-        phis = default_phi_grid(n_phi)
-        values = rng.uniform(0.0, 1e-2, (n_fringes, n_phi))
-        sigmas = 10.0 ** rng.uniform(-12.0, -3.0, (n_fringes, n_phi))
-        stacked = fit_cosine(phis, values, sigmas)
-        loop = _row_by_row_cosine_fits(phis, values, sigmas)
-        assert stacked == loop
-        assert [f.c0c1_cov.hex() for f in stacked] == [f.c0c1_cov.hex() for f in loop]
-
     @pytest.mark.parametrize("n_values, n_sigmas", [(2, 3), (3, 2), (1, 2), (2, 1)])
     def test_cosine_fit_rejects_mismatched_rows(self, n_values, n_sigmas):
         phis = default_phi_grid(8)
@@ -329,6 +301,8 @@ class TestFitHelpers:
     )
     @example(16, 32, True, 0)  # one dense_map row
     @example(7, 5, False, 1)  # rows at odd 8-byte offsets
+    @example(64, 11, True, 0)
+    @example(1024, 3, True, 0)  # the largest n_phi a config allows
     def test_cosine_fits_share_one_design(self, n_phi, n_fringes, default_grid, seed):
         # fringes fitted as rows of one call have the bits of a fresh
         # one-fringe fit, and of the fit written out in full
