@@ -16,7 +16,8 @@ when it is odd, so a drift in machine speed does not favour one side.
 and the median difference exceeds the parent's interquartile range; ``runs``
 holds every run's JSON line. Uses the standard library only; a run that
 fails is recorded with its exit code and standard error, and counts as not
-correct.
+correct; a run that reports itself not correct keeps the first
+``FAIL_LINES`` ``FAIL ...`` lines of its standard error as ``fail_lines``.
 """
 
 import argparse
@@ -31,6 +32,7 @@ from pathlib import Path
 
 SEEDS = dict.fromkeys(("dense_map", "reproduce", "long_integration"), range(200, 210))
 METRICS = ("setup_s", "pass_s", "peak_rss_mb")
+FAIL_LINES = 20  # the FAIL lines kept of a run that is not correct
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -41,7 +43,12 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"correct": False, "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not result.get("correct"):
+        # bench/run.py exits 0 after a failed check; its FAIL lines name the check
+        result["fail_lines"] = [line for line in proc.stderr.splitlines()
+                                if line.startswith("FAIL ")][:FAIL_LINES]
+    return result
 
 
 def spread(values: list[float]) -> dict:

@@ -5,8 +5,9 @@
     python3 scripts/mutation.py src/qfdc/model.py --text-mutants scripts/mutants/model.json
 
 Each mutant swaps one operator of the module: ``+``/``-``, ``*``/``/``,
-``<``/``<=`` or ``>``/``>=`` (binary operations and comparisons found with
-``ast``; only the operator's characters change, so line numbers hold).
+``<``/``<=``, ``>``/``>=`` or ``==``/``!=`` (binary operations and
+comparisons found with ``ast``; only the operator's characters change, so
+line numbers hold).
 ``--text-mutants`` adds hand-made mutants for code with no operator to
 swap: a JSON list of ``{"mutant": label, "module": path, "from": text,
 "to": text}``, each replacing one source text that occurs exactly once. The
@@ -36,7 +37,8 @@ import time
 import tokenize
 from pathlib import Path
 
-SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">",
+         "==": "!=", "!=": "=="}
 BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120.0  # per mutant; a run that exceeds it counts as killed

@@ -1,12 +1,13 @@
-"""End-to-end scenario engine.
+"""End-to-end scenario engine: the sweep drivers for the pump-power sweep
+(``run_fig4a``), the count-rate-vs-mu sweep (``run_fig4b``), the fringe
+scan (``run_fig5``) and the visibility-vs-mu sweep (``run_fig6``).
 
-Evaluates each scenario point with the closed form of :mod:`qfdc.model`,
-samples its click record by seeded Monte Carlo at that closed-form mean,
-and provides the sweep drivers for the four standard experiments: the
-pump-power sweep (``run_fig4a``), the count-rate-vs-mu sweep
-(``run_fig4b``), the fringe scan (``run_fig5``), and the visibility-vs-mu
-sweep (``run_fig6``). The train pipeline that is the closed form's
-reference, ``chain_point_mean``, is in :mod:`qfdc.reference`.
+Each driver plans, draws and estimates: it checks its arguments, forms each
+point's click probability with the closed form of :mod:`qfdc.model` and
+lays out the seeds; ``_draw`` samples the click counts by seeded Monte Carlo;
+the figure's ``_estimate_fig*`` reads only the click probabilities and their
+sigmas, so it runs as well on the closed form's, with ``_sigma``. The train
+pipeline that is the closed form's reference is in :mod:`qfdc.reference`.
 """
 
 from __future__ import annotations
@@ -113,9 +114,7 @@ def fit_cosine(
     its own, so its bits are the same.
     """
     import numpy as np
-    phis = np.asarray(phis, dtype=float)
-    y = np.asarray(values, dtype=float)
-    sig = np.asarray(sigmas, dtype=float)
+    phis, y, sig = (np.asarray(a, dtype=float) for a in (phis, values, sigmas))
     x = np.column_stack([np.ones_like(phis), np.cos(phis)])
     xtx_inv = np.linalg.inv(x.T @ x)
     y_rows, sig_rows = np.atleast_2d(y), np.atleast_2d(sig)
@@ -133,9 +132,7 @@ def fit_through_origin(x: np.ndarray, y: np.ndarray,
     """Weighted least-squares line y = slope*x: the slope and its sigma, both
     NaN when every abscissa is zero, and each NaN when it is not finite."""
     import numpy as np
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
+    x, y, sigmas = (np.asarray(a, dtype=float) for a in (x, y, sigmas))
     # weights relative to a power of two at or below the smallest sigma: they
     # are at most 4, so squaring cannot overflow (a sigma 2**511 times the
     # smallest gets weight 0), and the scale cancels exactly in slope and sigma
@@ -153,14 +150,13 @@ def _finite_or_nan(value: float) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _estimate(value: float, sigma: float) -> tuple[float, float]:
+def _both_finite(value: float, sigma: float) -> tuple[float, float]:
     """An estimate and its sigma, both NaN unless both are finite."""
-    if not (math.isfinite(value) and math.isfinite(sigma)):
-        return math.nan, math.nan
-    return value, sigma
+    finite = math.isfinite(value) and math.isfinite(sigma)
+    return (value, sigma) if finite else (math.nan, math.nan)
 
 
-# --- scan results ----------------------------------------------------------
+# --- scan results and the draw ---------------------------------------------
 
 
 class ScanResult(_Record):
@@ -196,9 +192,30 @@ class ScanResult(_Record):
         return next(iter(self.columns.values()))
 
 
-def _table(names: tuple[str, ...], rows: list[tuple]) -> dict[str, list[float]]:
-    """Named columns from per-point rows."""
-    return {name: [row[k] for row in rows] for k, name in enumerate(names)}
+def _draw(probs: list[float], n_gates: int, seeds: np.ndarray,
+          n_cols: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Point k's click count at click probability ``probs[k]`` and seed
+    ``seeds.ravel()[k]``, and the click probabilities and sigmas in rows of
+    ``n_cols``: a fringe's phases, or a point's signal and signal-off runs."""
+    import numpy as np
+    clicks = sample_scan(probs, n_gates, seeds.ravel())
+    # float64 from the start is exact below 2**53 clicks, and an int64 array
+    # would page in numpy's integer division loops (about 0.18 MB of RSS)
+    p = np.array(clicks, dtype=float).reshape(-1, n_cols) / int(n_gates)
+    return clicks, p, _sigma(p, n_gates)
+
+
+def _sigma(p: np.ndarray, n_gates: int) -> np.ndarray:
+    """:attr:`CountSummary.sigma_p` at click probabilities ``p``, as an array
+    expression that rounds every operation as the property does."""
+    import numpy as np
+    n = int(n_gates)
+    return np.maximum(np.sqrt(p * (1.0 - p) / n), 1.0 / n)
+
+
+def _records(clicks: list[int], n_gates: int, spec: DetectorSpec) -> list[CountSummary]:
+    """The click record of each count, for a driver's ``raw``."""
+    return [CountSummary(int(n_gates), c, spec.gate_rate_hz) for c in clicks]
 
 
 # --- scenario drivers ------------------------------------------------------
@@ -235,11 +252,20 @@ def run_fig4a(
     probs = [p for power in powers
              for p in _ClosedForm(params.at_pump_power(power)).grid([mu, 0.0], [None])]
     # seeds (i, 0) for the signal run and (i, 1) for the signal-off run
-    seeds = derive_seeds(seed, np.arange(len(powers))[:, None], np.arange(2)).ravel()
-    clicks = sample_scan(probs, gates_per_point, seeds)
-    p, sigma = (a.tolist() for a in _click_arrays(clicks, gates_per_point, 2))
-    rows: list[tuple] = []
-    for power, (p_sig, p_bg), (s_sig, s_bg) in zip(powers, p, sigma):
+    seeds = derive_seeds(seed, np.arange(len(powers))[:, None], np.arange(2))
+    clicks, p, sigma = _draw(probs, gates_per_point, seeds, 2)
+    columns, fit = _estimate_fig4a(powers, eff_denom, noise_denom, det.dark_prob_per_gate,
+                                   p, sigma)
+    return ScanResult(columns=columns, fit=fit, raw=_records(clicks[0::2], gates_per_point, det))
+
+
+def _estimate_fig4a(powers: list[float], eff_denom: float, noise_denom: float, dark: float,
+                    p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
+    """fig4a's columns and fit from each power's click probabilities and
+    sigmas, shape (n_powers, 2): the signal run, then the signal-off run."""
+    names = ("efficiency", "eff_sigma", "noise_per_gate", "noise_sigma")
+    columns = {"power_mw": [power * 1e3 for power in powers], **{name: [] for name in names}}
+    for (p_sig, p_bg), (s_sig, s_bg) in zip(p.tolist(), sigma.tolist()):
         # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
         # a saturated run (every gate clicked) cannot be inverted, so the
         # estimators that use it are NaN, as is an estimate that overflows or
@@ -248,28 +274,21 @@ def run_fig4a(
         miss_bg = 1.0 - p_bg
         efficiency = eff_sigma = noise = noise_sigma = math.nan
         if miss_bg > 0.0:
-            noise = math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / noise_denom
+            noise = math.log((1.0 - dark) / miss_bg) / noise_denom
             noise_sigma = s_bg / (miss_bg * noise_denom)
             if miss_sig > 0.0:
                 efficiency = math.log(miss_bg / miss_sig) / eff_denom
                 eff_sigma = math.hypot(s_sig / miss_sig, s_bg / miss_bg) / eff_denom
-        rows.append((power * 1e3, *_estimate(efficiency, eff_sigma),
-                     *_estimate(noise, noise_sigma)))
-    columns = _table(
-        ("power_mw", "efficiency", "eff_sigma", "noise_per_gate", "noise_sigma"), rows
-    )
-    positive = [i for i, p in enumerate(powers) if p > 0.0]
-    fit: dict[str, float] = {}
-    if positive:
-        fitted = [i for i in positive if not math.isnan(columns["noise_per_gate"][i])]
-        slope, slope_sigma = fit_through_origin(
-            [powers[i] for i in fitted],
-            [columns["noise_per_gate"][i] for i in fitted],
-            [columns["noise_sigma"][i] for i in fitted],
-        )
-        fit = {"noise_slope_per_w": slope, "noise_slope_sigma": slope_sigma}
-    return ScanResult(columns=columns, fit=fit,
-                      raw=_records(clicks[0::2], gates_per_point, det))
+        estimates = _both_finite(efficiency, eff_sigma) + _both_finite(noise, noise_sigma)
+        for name, value in zip(names, estimates):
+            columns[name].append(value)
+    if not any(power > 0.0 for power in powers):
+        return columns, {}
+    y, y_sigma = columns["noise_per_gate"], columns["noise_sigma"]
+    fitted = [i for i, power in enumerate(powers) if power > 0.0 and not math.isnan(y[i])]
+    slope, slope_sigma = fit_through_origin(
+        [powers[i] for i in fitted], [y[i] for i in fitted], [y_sigma[i] for i in fitted])
+    return columns, {"noise_slope_per_w": slope, "noise_slope_sigma": slope_sigma}
 
 
 def run_fig4b(
@@ -287,25 +306,27 @@ def run_fig4b(
     mus = [float(m) for m in mu_grid]
     floor, *signal = _ClosedForm(params).grid([0.0, *mus], [None])
     probs = [p for sig in signal for p in (sig, floor)]
-    seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2)).ravel()
-    clicks = sample_scan(probs, gates_per_point, seeds)
-    p, sigma = (a.tolist() for a in _click_arrays(clicks, gates_per_point, 2))
+    seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2))
+    clicks, p, sigma = _draw(probs, gates_per_point, seeds, 2)
+    columns, fit = _estimate_fig4b(mus, p, sigma)
+    return ScanResult(columns=columns, fit=fit,
+                      raw=_records(clicks[0::2], gates_per_point, params.detector))
+
+
+def _estimate_fig4b(mus: list[float], p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
+    """fig4b's columns and fit from each mu's click probabilities and
+    sigmas, shape (n_mus, 2): the signal run, then the signal-off run."""
+    import numpy as np
+    (p_raw, p_bg), (s_raw, s_bg) = p.T.tolist(), sigma.T.tolist()
     # the signal run less the signal-off run, as reference.dark_subtract does for one pair
-    rows = [(mu, p_sig, s_sig, p_sig - p_bg, math.hypot(s_sig, s_bg))
-            for mu, (p_sig, p_bg), (s_sig, s_bg) in zip(mus, p, sigma)]
-    columns = _table(("mu", "p_raw", "p_raw_sigma", "p_subtracted", "p_subtracted_sigma"), rows)
+    columns = {"mu": mus, "p_raw": p_raw, "p_raw_sigma": s_raw,
+               "p_subtracted": [p_sig - p_off for p_sig, p_off in zip(p_raw, p_bg)],
+               "p_subtracted_sigma": list(map(math.hypot, s_raw, s_bg))}
     slope, slope_sigma = fit_through_origin(
         mus, columns["p_subtracted"], columns["p_subtracted_sigma"])
     columns["fit_line"] = [slope * mu for mu in mus]
-    return ScanResult(
-        columns=columns,
-        fit={
-            "slope": slope,
-            "slope_sigma": slope_sigma,
-            "floor_mean": float(np.mean([p_bg for _, p_bg in p])),
-        },
-        raw=_records(clicks[0::2], gates_per_point, params.detector),
-    )
+    return columns, {"slope": slope, "slope_sigma": slope_sigma,
+                     "floor_mean": float(np.mean(p_bg))}
 
 
 def default_phi_grid(n_phi: int = DEFAULT_N_PHI) -> np.ndarray:
@@ -340,62 +361,34 @@ def run_fig5(
     phis = default_phi_grid() if phi_grid is None else np.asarray(phi_grid, dtype=float)
     if phis.size < 4:
         raise ValueError(f"fringe scan needs at least 4 phase points, got {phis.size}")
-    if control:
-        # modulation is still applied at the source, but without the
-        # interferometer it cannot reach the count rate; phi=None gives the
-        # identical per-gate mean
-        run_params = params.without_interferometer()
-    else:
-        if params.interferometer is None:
-            raise ValueError("fringe scan requires an interferometer in the chain")
-        run_params = params
+    if not control and params.interferometer is None:
+        raise ValueError("fringe scan requires an interferometer in the chain")
+    # modulation is still applied at the source, but without the
+    # interferometer it cannot reach the count rate; phi=None gives the
+    # identical per-gate mean
+    run_params = params.without_interferometer() if control else params
     probs = _ClosedForm(run_params).grid([mu], [None] * phis.size if control else phis.tolist())
-    clicks = sample_scan(probs, gates_per_point, derive_seeds(seed, np.arange(phis.size)))
-    p, sigma = _click_arrays(clicks, gates_per_point, phis.size)
+    seeds = derive_seeds(seed, np.arange(phis.size))
+    clicks, p, sigma = _draw(probs, gates_per_point, seeds, phis.size)
+    columns, fit = _estimate_fig5(phis, params.detector, p, sigma)
+    fit["control"] = 1.0 if control else 0.0
+    return ScanResult(columns=columns, fit=fit,
+                      raw=_records(clicks, gates_per_point, params.detector))
+
+
+def _estimate_fig5(phis: np.ndarray, detector: DetectorSpec, p: np.ndarray,
+                   sigma: np.ndarray) -> tuple[dict, dict]:
+    """fig5's columns and fit from one fringe's click probabilities and
+    sigmas, shape (1, n_phi)."""
     fitted, = fit_cosine(phis, p, sigma)
-    dark = params.detector.dark_prob_per_gate
-    rate_hz = params.detector.gate_rate_hz
-    return ScanResult(
-        columns={
-            "phi_rad": phis.tolist(),
-            "rate_per_s": (p[0] * rate_hz).tolist(),
-            "rate_sigma": (sigma[0] * rate_hz).tolist(),
-        },
-        fit={
-            "c0": fitted.c0,
-            "c1": fitted.c1,
-            "c0_sigma": fitted.c0_sigma,
-            "c1_sigma": fitted.c1_sigma,
-            "visibility": fitted.visibility,
-            "visibility_sigma": fitted.visibility_sigma,
-            "visibility_sub": fitted.visibility_dark_subtracted(dark),
-            "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark),
-            "control": 1.0 if control else 0.0,
-        },
-        raw=_records(clicks, gates_per_point, params.detector),
-    )
-
-
-def _click_arrays(clicks: list[int], n_gates: int,
-                  n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The click probability of each count and its sigma, in rows of
-    ``n_cols``: a fringe's phases (fig5, fig6) or a point's signal and
-    signal-off runs (fig4a, fig4b). Every driver estimates from these;
-    they are :attr:`CountSummary.p_click` and :attr:`CountSummary.sigma_p`
-    as array expressions, which round every operation as they do, bit for
-    bit, so records are built only for a driver's ``raw``."""
-    import numpy as np
-    n = int(n_gates)
-    # float64 from the start is exact below 2**53 clicks, and an int64 array
-    # would page in numpy's integer division loops (about 0.18 MB of RSS)
-    p = np.array(clicks, dtype=float).reshape(-1, n_cols) / n
-    return p, np.maximum(np.sqrt(p * (1.0 - p) / n), 1.0 / n)
-
-
-def _records(clicks: list[int], n_gates: int, spec: DetectorSpec) -> list[CountSummary]:
-    """The click record of each count, for a driver's ``raw``."""
-    n = int(n_gates)
-    return [CountSummary(n, c, spec.gate_rate_hz) for c in clicks]
+    dark, rate_hz = detector.dark_prob_per_gate, detector.gate_rate_hz
+    columns = {"phi_rad": phis.tolist(), "rate_per_s": (p[0] * rate_hz).tolist(),
+               "rate_sigma": (sigma[0] * rate_hz).tolist()}
+    return columns, {"c0": fitted.c0, "c1": fitted.c1, "c0_sigma": fitted.c0_sigma,
+                     "c1_sigma": fitted.c1_sigma, "visibility": fitted.visibility,
+                     "visibility_sigma": fitted.visibility_sigma,
+                     "visibility_sub": fitted.visibility_dark_subtracted(dark),
+                     "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark)}
 
 
 def run_fig6(
@@ -422,18 +415,25 @@ def run_fig6(
     closed_form = _ClosedForm(params)
     probs = closed_form.grid(mus, phis.tolist())
     seeds = derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None], np.arange(n_phi))
-    clicks = sample_scan(probs, gates_per_point, seeds.ravel())
-    dark = params.detector.dark_prob_per_gate
-    rows: list[tuple] = []
-    for mu, fitted in zip(mus, fit_cosine(phis, *_click_arrays(clicks, gates_per_point, n_phi))):
-        v, v_sigma = fitted.visibility, fitted.visibility_sigma
-        rows.append((mu, v, v_sigma, fitted.visibility_dark_subtracted(dark),
-                     fitted.visibility_dark_subtracted_sigma(dark), *closed_form.visibility(mu),
-                     1.0 if v > 3.0 * v_sigma else 0.0))
-    columns = _table(("mu", "v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma", "v_analytic",
-                      "v_analytic_sub", "detectable"), rows)
-    detected = [m for m, flag in zip(mus, columns["detectable"]) if flag > 0.0]
-    return ScanResult(
-        columns=columns,
-        fit={"smallest_detectable_mu": min(detected) if detected else math.nan},
-    )
+    _, p, sigma = _draw(probs, gates_per_point, seeds, n_phi)
+    columns, fit = _estimate_fig6(mus, phis, closed_form, params.detector, p, sigma)
+    return ScanResult(columns=columns, fit=fit)
+
+
+def _estimate_fig6(mus: list[float], phis: np.ndarray, closed_form: _ClosedForm,
+                   detector: DetectorSpec, p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
+    """fig6's columns and fit from each mu's fringe of click probabilities
+    and sigmas, shape (n_mus, n_phi)."""
+    fits = fit_cosine(phis, p, sigma)
+    dark = detector.dark_prob_per_gate
+    analytic = [closed_form.visibility(mu) for mu in mus]
+    columns = {"mu": mus, "v_raw": [f.visibility for f in fits],
+               "v_raw_sigma": [f.visibility_sigma for f in fits],
+               "v_sub": [f.visibility_dark_subtracted(dark) for f in fits],
+               "v_sub_sigma": [f.visibility_dark_subtracted_sigma(dark) for f in fits],
+               "v_analytic": [raw for raw, _ in analytic],
+               "v_analytic_sub": [sub for _, sub in analytic]}
+    columns["detectable"] = [1.0 if v > 3.0 * s else 0.0
+                             for v, s in zip(columns["v_raw"], columns["v_raw_sigma"])]
+    detected = [mu for mu, flag in zip(mus, columns["detectable"]) if flag > 0.0]
+    return columns, {"smallest_detectable_mu": min(detected) if detected else math.nan}

@@ -1,15 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfdc.cli import load_config
 from qfdc.detector import CountSummary
 from qfdc.experiment import (
     CosineFit,
     ScanResult,
-    _click_arrays,
+    _draw,
+    _estimate_fig4a,
+    _estimate_fig4b,
+    _estimate_fig5,
+    _estimate_fig6,
+    _sigma,
     default_phi_grid,
     fit_cosine,
     fit_through_origin,
@@ -322,13 +329,21 @@ class TestFitHelpers:
     @given(st.integers(1, 2**40), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     @example(1, [0.0, 1.0])
     @example(1000, [0.0, 0.001, 0.999, 1.0])  # 0, 1, n-1 and n clicks: the floor
-    def test_click_arrays_are_the_summaries(self, gates, fractions):
+    def test_draw_and_sigma_are_the_summaries(self, gates, fractions):
         clicks = [round(f * gates) for f in fractions]
-        p, sigma = _click_arrays(clicks, gates, len(clicks))
+        n = len(clicks)
+        # the counts stand in for sample_scan's, so the arrays are checked at
+        # 0, 1, n-1 and n clicks without drawing 2**40 gates
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("qfdc.experiment.sample_scan", lambda p, gates, seeds: clicks)
+            drawn, p, sigma = _draw([0.5] * n, gates, np.zeros((1, n), dtype=np.uint64), n)
         summaries = [CountSummary(gates, c, 4e6) for c in clicks]
+        assert drawn == clicks
         assert [v.hex() for v in p[0].tolist()] == [s.p_click.hex() for s in summaries]
         assert [v.hex() for v in sigma[0].tolist()] == [s.sigma_p.hex() for s in summaries]
-        assert p.shape == sigma.shape == (1, len(clicks))
+        assert [v.hex() for v in _sigma(p, gates)[0].tolist()] == [
+            s.sigma_p.hex() for s in summaries]
+        assert p.shape == sigma.shape == (1, n)
 
     def test_cosine_fit_of_one_fringe_is_one_fit(self):
         phis = default_phi_grid(8)
@@ -410,6 +425,16 @@ class TestScenarioDrivers:
 
     def test_fig4a_fits_no_slope_without_a_positive_power(self, bare_chain):
         assert run_fig4a(bare_chain, [0.0], gates_per_point=1000).fit == {}
+
+    def test_fig4a_fits_the_noise_slope_on_positive_powers_only(self, bare_chain, monkeypatch):
+        # a zero power adds nothing to a fit through the origin, but its sigma
+        # would set the fit's weight scale
+        fitted = []
+        monkeypatch.setattr("qfdc.experiment.fit_through_origin",
+                            lambda x, y, sigmas: fitted.append(x) or (1.0, 0.5))
+        scan = run_fig4a(bare_chain, [0.0, 0.0135, 0.027], gates_per_point=1000)
+        assert fitted == [[0.0135, 0.027]]
+        assert scan.fit == {"noise_slope_per_w": 1.0, "noise_slope_sigma": 0.5}
 
     def test_fig6_detects_only_above_three_sigma(self, chain, monkeypatch):
         # run_fig6 fits through the module's fit_cosine, which the bench
@@ -497,6 +522,74 @@ class TestScenarioDrivers:
     def test_fig6_requires_interferometer(self, bare_chain):
         with pytest.raises(ValueError):
             run_fig6(bare_chain, [0.7])
+
+
+def _expected(probs: list[float], n_cols: int, gates: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form click probabilities in a driver's rows, and the sigma of a
+    run of ``gates`` gates that clicks at each of them."""
+    p = np.array(probs).reshape(-1, n_cols)
+    return p, _sigma(p, gates)
+
+
+class TestEstimatorsOnTheClosedForm:
+    """Each driver's estimator on the expected click probabilities and the
+    sigmas of the configured gate counts (the "Asimov data set"): no seed and
+    no draw, at the scenarios of the repo's config."""
+
+    scenarios = load_config(Path(__file__).resolve().parents[1] / "configs/default.json").scenarios
+
+    def test_fig4a(self, bare_chain):
+        cfg = self.scenarios["fig4a"]
+        powers = [p * 1e-3 for p in cfg.power_mw]
+        det, t_post = bare_chain.detector, bare_chain.post_converter_transmission
+        probs = [p for power in powers
+                 for p in _ClosedForm(bare_chain.at_pump_power(power)).grid([cfg.mu, 0.0], [None])]
+        columns, fit = _estimate_fig4a(
+            powers, det.efficiency * cfg.mu * t_post, det.efficiency * t_post,
+            det.dark_prob_per_gate, *_expected(probs, 2, cfg.gates_per_point))
+        for power, efficiency in zip(powers, columns["efficiency"], strict=True):
+            if power > 0.0:
+                expected = conversion_efficiency(bare_chain.at_pump_power(power).converter)
+                assert efficiency == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert fit["noise_slope_per_w"] == pytest.approx(
+            bare_chain.converter.noise_coeff_beta, rel=1e-11, abs=0.0)
+
+    def test_fig4b(self, bare_chain):
+        cfg = self.scenarios["fig4b"]
+        floor, *signal = _ClosedForm(bare_chain).grid([0.0, *cfg.mu], [None])
+        probs = [p for sig in signal for p in (sig, floor)]
+        columns, fit = _estimate_fig4b(list(cfg.mu), *_expected(probs, 2, cfg.gates_per_point))
+        assert fit["floor_mean"] == pytest.approx(floor, rel=1e-12)
+        assert fit["floor_mean"] == pytest.approx(7.1677e-5, rel=1e-4)
+        assert columns["p_raw"] == signal
+
+    def test_fig5(self, chain):
+        cfg = self.scenarios["fig5"]
+        phis = default_phi_grid(cfg.n_phi)
+        probs = _ClosedForm(chain).grid([cfg.mu], phis.tolist())
+        _, fit = _estimate_fig5(phis, chain.detector, *_expected(probs, cfg.n_phi,
+                                                                 cfg.gates_per_point))
+        assert round(fit["visibility"], 6) == 0.378988
+        assert round(fit["visibility_sub"], 6) == 0.720992
+
+    def test_fig6(self, chain):
+        # the expected table: v_expected, v_expected - v_analytic and v/sigma
+        table = {0.01: (0.008942, -2.40e-7, 0.92), 0.03: (0.026329, -7.08e-7, 2.74),
+                 0.09: (0.074826, -2.04e-6, 8.01), 0.7: (0.378988, -1.198e-5, 52.1),
+                 15.0: (0.884874, -1.360e-4, 455.0), 45.0: (0.924945, -3.820e-4, 831.0)}
+        cfg = self.scenarios["fig6"]
+        assert (cfg.n_phi, cfg.gates_per_point) == (16, 40_000_000)
+        mus, phis, closed_form = list(cfg.mu), default_phi_grid(cfg.n_phi), _ClosedForm(chain)
+        columns, fit = _estimate_fig6(
+            mus, phis, closed_form, chain.detector,
+            *_expected(closed_form.grid(mus, phis.tolist()), cfg.n_phi, cfg.gates_per_point))
+        for mu, (v, gap, v_over_sigma) in table.items():
+            j = mus.index(mu)
+            v_raw, v_sigma = columns["v_raw"][j], columns["v_raw_sigma"][j]
+            assert round(v_raw, 6) == v
+            assert v_raw - columns["v_analytic"][j] == pytest.approx(gap, rel=5e-3)
+            assert v_raw / v_sigma == pytest.approx(v_over_sigma, rel=5e-3)
+        assert fit["smallest_detectable_mu"] == 0.09
 
 
 #: masters at SeedSequence's word boundaries, and one wider than 64 bits
