@@ -5,9 +5,9 @@
     python3 scripts/mutation.py src/qfdc/model.py --text-mutants scripts/mutants/model.json
 
 Each mutant swaps one operator of the module: ``+``/``-``, ``*``/``/``,
-``<``/``<=``, ``>``/``>=`` or ``==``/``!=`` (binary operations and
-comparisons found with ``ast``; only the operator's characters change, so
-line numbers hold).
+``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``is``/``is not`` or
+``in``/``not in`` (binary operations and comparisons found with ``ast``;
+only the operator's characters change, so line numbers hold).
 ``--text-mutants`` adds hand-made mutants for code with no operator to
 swap: a JSON list of ``{"mutant": label, "module": path, "from": text,
 "to": text}``, each replacing one source text that occurs exactly once. The
@@ -38,7 +38,9 @@ import tokenize
 from pathlib import Path
 
 SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">",
-         "==": "!=", "!=": "=="}
+         "==": "!=", "!=": "==", "is": "is not", "is not": "is", "in": "not in", "not in": "in"}
+#: The NAME tokens that spell the identity and membership operators.
+WORDS = ("is", "in", "not")
 BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120.0  # per mutant; a run that exceeds it counts as killed
@@ -48,14 +50,17 @@ HYPOTHESIS_SEED = 0
 def sites(source: str) -> list[tuple[int, int, str]]:
     """(line, column, operator) of every swappable operator, in source order.
 
-    The operator is the one token in ``SWAPS`` between its two operands."""
+    The operator is the one OP token in ``SWAPS`` between its two operands,
+    or the one or two NAME tokens of ``is``, ``is not``, ``in`` or
+    ``not in`` there, joined by a space."""
     lines = source.splitlines(keepends=True)
 
     def char_pos(line: int, byte_col: int) -> tuple[int, int]:  # ast columns are UTF-8 bytes
         return line, len(lines[line - 1].encode()[:byte_col].decode())
 
     ops = [tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-           if tok.type == tokenize.OP and tok.string in SWAPS]
+           if (tok.type == tokenize.OP and tok.string in SWAPS)
+           or (tok.type == tokenize.NAME and tok.string in WORDS)]
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BinOp) and isinstance(node.op, BINOPS):
@@ -67,8 +72,12 @@ def sites(source: str) -> list[tuple[int, int, str]]:
         for left, right in pairs:
             lo = char_pos(left.end_lineno, left.end_col_offset)
             hi = char_pos(right.lineno, right.col_offset)
-            found.update((tok.start[0], tok.start[1], tok.string) for tok in ops
-                         if lo <= tok.start and tok.end <= hi)
+            between = [tok for tok in ops if lo <= tok.start and tok.end <= hi]
+            words = [tok.string for tok in between if tok.type == tokenize.NAME]
+            if words:
+                found.add((*between[0].start, " ".join(words)))
+            else:
+                found.update((*tok.start, tok.string) for tok in between)
     return sorted(found)
 
 

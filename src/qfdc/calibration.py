@@ -29,17 +29,16 @@ from .model import (
     ConverterSpec,
     DetectorSpec,
     InterferometerSpec,
-    NoiseBackground,
     ThreeWaveProcess,
     _Record,
     _setfield,
     analytic_visibility,
+    background_photons,
     click_probability,
     conversion_efficiency,
     derive_process,
     expected_rate,
     mode_from_wavelength,
-    suppress_background,
 )
 
 SIGNAL_WAVELENGTH_NM = 712.9
@@ -133,9 +132,8 @@ class CalibrationContext(_Record):
     @property
     def noise_suppression_factor(self) -> float:
         """Interferometer passband factor on the converter noise."""
-        unit = NoiseBackground(self.leak_fraction, 1.0 - self.leak_fraction)
         spec = InterferometerSpec(oob_suppression_db=self.oob_suppression_db)
-        return suppress_background(unit, spec).total_photons_per_gate
+        return background_photons(1.0, self.leak_fraction, 1.0, spec)
 
 
 #: Physical range of each fitted parameter; a solution outside it is clipped
@@ -253,7 +251,8 @@ def calibrate(
 
     det = context.detector
     dark = det.dark_prob_per_gate
-    eta_int = math.sin(math.sqrt(context.eta_nor_per_w * targets.pump_power_w)) ** 2
+    eta_int = ConverterSpec(context.process, context.eta_nor_per_w, targets.pump_power_w,
+                            0.0).internal_conversion_probability
     problems: list[str] = []
 
     # target 1: conversion efficiency pins the system transmission exactly

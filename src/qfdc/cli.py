@@ -381,27 +381,19 @@ def run_scenario(
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        report = cfg.chain_from_report
-        if cfg.chain_params is None and report is not None:
-            if os.path.exists(report):
-                _chain_from_config(cfg)  # the report branch, as ``run`` resolves it
-            else:  # ``calibrate --out`` may write it before the run
-                print(f"note: report {report!r} does not exist yet", file=sys.stderr)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
+    report = cfg.chain_from_report
+    if cfg.chain_params is None and report is not None:
+        if os.path.exists(report):
+            _chain_from_config(cfg)  # the report branch, as ``run`` resolves it
+        else:  # ``calibrate --out`` may write it before the run
+            print(f"note: report {report!r} does not exist yet", file=sys.stderr)
     print(f"{args.config}: OK")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
     result = calibrate(cfg.targets, cfg.context)
     ok = result.feasible and residuals_within_tolerance(result, cfg.targets)
     report = {
@@ -430,15 +422,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        seed = cfg.seed if args.seed is None else args.seed
-        scan = run_scenario(args.scenario, cfg, seed, control_override=args.no_interferometer)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    seed = cfg.seed if args.seed is None else args.seed
+    scan = run_scenario(args.scenario, cfg, seed, control_override=args.no_interferometer)
     path = _output_path(cfg, args.out, f"{args.scenario}.csv")
     try:
         _write_csv(path, CSV_SCHEMAS[args.scenario], scan)
@@ -529,10 +517,10 @@ def main(argv=None) -> int:
         return 0
     try:
         args = parse_args(argv)
-    except ConfigError as exc:
+        return args.func(args)
+    except ConfigError as exc:  # usage and configuration errors of every command
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args)
 
 
 if __name__ == "__main__":

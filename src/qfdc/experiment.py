@@ -244,6 +244,8 @@ def run_fig4a(
     det = params.detector
     t_post = params.post_converter_transmission
     powers = [float(p) for p in power_grid_w]
+    if not powers:
+        raise ValueError("the power grid is empty")
     eff_denom = det.efficiency * mu * t_post
     noise_denom = det.efficiency * t_post
     if eff_denom == 0.0 or noise_denom == 0.0:
@@ -304,6 +306,8 @@ def run_fig4b(
     if params.interferometer is not None:
         raise ValueError("the count-rate sweep runs without the interferometer")
     mus = [float(m) for m in mu_grid]
+    if not mus:
+        raise ValueError("the mu grid is empty")
     floor, *signal = _ClosedForm(params).grid([0.0, *mus], [None])
     probs = [p for sig in signal for p in (sig, floor)]
     seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2))
@@ -411,6 +415,8 @@ def run_fig6(
     if n_phi < 4:
         raise ValueError(f"fringe scan needs at least 4 phase points, got {n_phi}")
     mus = [float(m) for m in mu_grid]
+    if not mus:
+        raise ValueError("the mu grid is empty")
     phis = default_phi_grid(n_phi)
     closed_form = _ClosedForm(params)
     probs = closed_form.grid(mus, phis.tolist())

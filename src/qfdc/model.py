@@ -5,7 +5,7 @@ The chain is the paper's: attenuated coherent pulses on the signal channel
 waveguide (:class:`ConverterSpec`, whose beamsplitter-type process swaps
 amplitude between the signal and converted modes with probability
 sin^2(sqrt(eta_nor * P))) plus its pump-induced background
-(:class:`NoiseBackground`), a 1-bit delay interferometer
+(:func:`background_photons`), a 1-bit delay interferometer
 (:class:`InterferometerSpec`) and a gated detector (:class:`DetectorSpec`).
 A gate sees a Poissonian light field with some mean photon number and clicks
 with probability ``1 - (1 - p_dark) * exp(-efficiency * mu)``.
@@ -228,45 +228,6 @@ def conversion_efficiency(spec: ConverterSpec) -> float:
     return spec.system_transmission * spec.internal_conversion_probability
 
 
-class NoiseBackground(_Record):
-    """Incoherent Poissonian background, mean photons per gate.
-
-    Both components live in the converted-photon detection band at the
-    point in the chain where the value is quoted; ``leak`` is residual pump
-    light (out of band for downstream filters), ``raman`` is in-band.
-    """
-
-    __slots__ = ("leak_photons_per_gate", "raman_photons_per_gate")
-
-    def __init__(self, leak_photons_per_gate: float, raman_photons_per_gate: float) -> None:
-        _setfield(self, "leak_photons_per_gate", leak_photons_per_gate)
-        _setfield(self, "raman_photons_per_gate", raman_photons_per_gate)
-        for name in ("leak_photons_per_gate", "raman_photons_per_gate"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-
-    @property
-    def total_photons_per_gate(self) -> float:
-        return self.leak_photons_per_gate + self.raman_photons_per_gate
-
-    def scaled(self, factor: float) -> "NoiseBackground":
-        """Both components attenuated by a common power transmission."""
-        if not (math.isfinite(factor) and factor >= 0.0):
-            raise ValueError(f"factor must be finite and >= 0, got {factor}")
-        return NoiseBackground(
-            self.leak_photons_per_gate * factor,
-            self.raman_photons_per_gate * factor,
-        )
-
-
-def noise_background(spec: ConverterSpec) -> NoiseBackground:
-    """Pump-induced background at the waveguide output: beta * P photons/gate."""
-    total = spec.noise_coeff_beta * spec.pump_power_w
-    leak = spec.leak_fraction * total
-    return NoiseBackground(leak, total - leak)
-
-
 class InterferometerSpec(_Record):
     """Arm phase bias and out-of-band rejection."""
 
@@ -283,16 +244,25 @@ class InterferometerSpec(_Record):
             )
 
 
-def suppress_background(bg: NoiseBackground, spec: InterferometerSpec) -> NoiseBackground:
-    """Background after the interferometer.
+def background_photons(beta_power: float, leak_fraction: float, transmission: float,
+                       interferometer: InterferometerSpec | None) -> float:
+    """Pump-induced background photons per gate, a Poissonian mean.
 
-    Out-of-band pump leakage sees the full spectral rejection; in-band Raman
-    light is incoherent and splits evenly between the two output ports.
+    ``beta_power`` is beta * P, the background at the waveguide output:
+    residual pump leakage (``leak_fraction`` of it) plus in-band Raman light
+    (the rest), both attenuated by ``transmission``. Behind an
+    interferometer the out-of-band leakage sees the full spectral rejection,
+    and the incoherent Raman light splits evenly between the two ports.
     """
-    return NoiseBackground(
-        bg.leak_photons_per_gate * 10.0 ** (-spec.oob_suppression_db / 10.0),
-        bg.raman_photons_per_gate / 2.0,
-    )
+    if not (math.isfinite(beta_power) and beta_power >= 0.0):
+        raise ValueError(f"beta * P must be finite and >= 0, got {beta_power}")
+    leak = leak_fraction * beta_power
+    raman = (beta_power - leak) * transmission
+    leak *= transmission
+    if interferometer is not None:
+        leak *= 10.0 ** (-interferometer.oob_suppression_db / 10.0)
+        raman /= 2.0
+    return leak + raman
 
 
 class DetectorSpec(_Record):
@@ -382,19 +352,20 @@ class _ClosedForm:
     """
 
     def __init__(self, params: ChainParams) -> None:
-        self.eta = conversion_efficiency(params.converter)
+        converter = params.converter
+        self.eta = conversion_efficiency(converter)
         self.t_post = params.post_converter_transmission
         self.detector = params.detector
-        noise = noise_background(params.converter).scaled(self.t_post)
+        self.noise = background_photons(  # background photons per gate
+            converter.noise_coeff_beta * converter.pump_power_w, converter.leak_fraction,
+            self.t_post, params.interferometer)
         # fringe contrast, None without an interferometer: slots interfere at
         # phase differences -phi and +phi, so an arm bias theta gives the
         # fringe (1 + V0*cos(theta)*cos(phi))/2
         self.contrast = None
         if params.interferometer is not None:
-            noise = suppress_background(noise, params.interferometer)
             self.contrast = params.intrinsic_visibility_v0 * math.cos(
                 params.interferometer.phase_bias_theta)
-        self.noise = noise.total_photons_per_gate  # background photons per gate
 
     def _signal(self, mu: float) -> float:
         """Signal photons per gate at the detector, before the fringe."""

@@ -37,10 +37,9 @@ from .model import (
     InterferometerSpec,
     OpticalMode,
     ProcessKind,
+    background_photons,
     click_probability,
     expected_rate,
-    noise_background,
-    suppress_background,
 )
 
 if TYPE_CHECKING:
@@ -294,16 +293,17 @@ def chain_point_mean(
     train = coherent_train(params.converter.process.signal, n_slots, mu, pattern)
     converted, _ = convert(train, params.converter)
     converted = attenuate(converted, transmission_loss_db(params.post_converter_transmission))
-    noise = noise_background(params.converter).scaled(params.post_converter_transmission)
     if params.interferometer is not None:
         port0 = transmit_train(converted, params.interferometer, port=0)
         port1 = transmit_train(converted, params.interferometer, port=1)
         v0 = params.intrinsic_visibility_v0
         signal = gate_mean_photons(v0 * port0 + (1.0 - v0) * 0.5 * (port0 + port1))
-        noise = suppress_background(noise, params.interferometer)
     else:
         signal = converted.mean_photon_number
-    return signal + noise.total_photons_per_gate
+    converter = params.converter
+    return signal + background_photons(
+        converter.noise_coeff_beta * converter.pump_power_w, converter.leak_fraction,
+        params.post_converter_transmission, params.interferometer)
 
 
 # --- one-point Monte Carlo -------------------------------------------------

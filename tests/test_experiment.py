@@ -32,8 +32,6 @@ from qfdc.model import (
     click_probability,
     conversion_efficiency,
     expected_rate,
-    noise_background,
-    suppress_background,
 )
 from qfdc.reference import chain_point_mean, dark_subtract, derive_seed, simulate_point
 
@@ -75,16 +73,23 @@ class TestExpectedRate:
 def _reference_click(mu: float, phi: float | None, params: ChainParams) -> float:
     """The closed form of one point, written out in its fixed arithmetic
     order: mu*eta*t_post, times the fringe, plus the noise, then the click
-    model."""
-    eta = conversion_efficiency(params.converter)
+    model. The noise is beta*P split into pump leakage and Raman light, each
+    times t_post; behind the interferometer the leakage sees the rejection
+    and the Raman light halves."""
+    converter = params.converter
+    eta = conversion_efficiency(converter)
     t_post = params.post_converter_transmission
-    noise = noise_background(params.converter).scaled(t_post)
+    total = converter.noise_coeff_beta * converter.pump_power_w
+    leak = converter.leak_fraction * total
+    raman = (total - leak) * t_post
+    leak = leak * t_post
     signal = mu * eta * t_post
     if params.interferometer is not None:
-        noise = suppress_background(noise, params.interferometer)
+        leak = leak * 10.0 ** (-params.interferometer.oob_suppression_db / 10.0)
+        raman = raman / 2.0
         contrast = params.intrinsic_visibility_v0 * math.cos(params.interferometer.phase_bias_theta)
         signal *= (1.0 + contrast * (0.0 if phi is None else math.cos(phi))) / 2.0
-    return click_probability(signal + noise.total_photons_per_gate, params.detector)
+    return click_probability(signal + (leak + raman), params.detector)
 
 
 class TestClosedFormGrid:
@@ -423,6 +428,10 @@ class TestScenarioDrivers:
         with pytest.raises(ValueError, match="mu must be > 0"):
             run_fig4a(bare_chain, [0.027], mu=0.0)
 
+    def test_fig4a_rejects_an_empty_grid(self, bare_chain):
+        with pytest.raises(ValueError, match="power grid is empty"):
+            run_fig4a(bare_chain, [], gates_per_point=1000)
+
     def test_fig4a_fits_no_slope_without_a_positive_power(self, bare_chain):
         assert run_fig4a(bare_chain, [0.0], gates_per_point=1000).fit == {}
 
@@ -461,6 +470,11 @@ class TestScenarioDrivers:
         ):
             assert abs(p_sub - line) < 4 * sigma
         assert scan.fit["floor_mean"] == pytest.approx(7.17e-5, rel=0.1)
+
+    def test_fig4b_rejects_an_empty_grid(self, bare_chain):
+        # an empty grid has no floor to average, where numpy would warn and give NaN
+        with pytest.raises(ValueError, match="mu grid is empty"):
+            run_fig4b(bare_chain, [], gates_per_point=1000)
 
     def test_fig4b_slope_matches_chain_efficiency(self, bare_chain):
         # in the linear detector response regime (signal clicks/gate << 1)
@@ -522,6 +536,10 @@ class TestScenarioDrivers:
     def test_fig6_requires_interferometer(self, bare_chain):
         with pytest.raises(ValueError):
             run_fig6(bare_chain, [0.7])
+
+    def test_fig6_rejects_an_empty_grid(self, chain):
+        with pytest.raises(ValueError, match="mu grid is empty"):
+            run_fig6(chain, [], gates_per_point=1000)
 
 
 def _expected(probs: list[float], n_cols: int, gates: int) -> tuple[np.ndarray, np.ndarray]:

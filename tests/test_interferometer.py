@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from qfdc.model import (
     InterferometerSpec,
-    NoiseBackground,
+    background_photons,
     mode_from_wavelength,
-    suppress_background,
 )
 from qfdc.reference import PhasePattern, coherent_train, gate_mean_photons, transmit_train
 
@@ -96,16 +95,19 @@ class TestTransmitTrain:
 
 
 class TestSuppressBackground:
+    """Each background component behind the interferometer, alone: pump
+    leakage (``leak_fraction`` 1) and Raman light (``leak_fraction`` 0)."""
+
     def test_12_db_on_leak(self):
-        bg = NoiseBackground(1.0, 0.0)
-        out = suppress_background(bg, InterferometerSpec(oob_suppression_db=12.0))
-        assert out.leak_photons_per_gate == pytest.approx(10 ** (-1.2), rel=1e-12)
+        out = background_photons(1.0, 1.0, 1.0, InterferometerSpec(oob_suppression_db=12.0))
+        assert out == pytest.approx(10 ** (-1.2), rel=1e-12)
 
     def test_port_splitting_only(self):
-        bg = NoiseBackground(0.4, 0.6)
-        out = suppress_background(bg, InterferometerSpec(oob_suppression_db=0.0))
-        assert out.leak_photons_per_gate == pytest.approx(0.4, rel=1e-12)
-        assert out.raman_photons_per_gate == pytest.approx(0.3, rel=1e-12)
+        for db in (0.0, 12.0):
+            raman = background_photons(0.6, 0.0, 1.0, InterferometerSpec(oob_suppression_db=db))
+            assert raman == pytest.approx(0.3, rel=1e-12)
+        leak = background_photons(0.4, 1.0, 1.0, InterferometerSpec(oob_suppression_db=0.0))
+        assert leak == pytest.approx(0.4, rel=1e-12)
 
 
 

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from qfdc.model import (
     ConverterSpec,
+    InterferometerSpec,
     ProcessKind,
     ThreeWaveProcess,
+    background_photons,
     conversion_efficiency,
     derive_process,
     mode_from_wavelength,
-    noise_background,
     spdc_leak_safe,
 )
 from qfdc.reference import PhasePattern, coherent_train, convert
@@ -213,27 +214,36 @@ class TestConvert:
         assert np.allclose(total, train.slot_photon_numbers(), rtol=1e-12, atol=0)
 
 
+def _background(transmission=1.0, interferometer=None, **overrides):
+    """:func:`background_photons` of a converter at ``reference_spec``."""
+    spec = reference_spec(**overrides)
+    return background_photons(spec.noise_coeff_beta * spec.pump_power_w, spec.leak_fraction,
+                              transmission, interferometer)
+
+
 class TestNoiseBackground:
     def test_zero_power(self):
-        bg = noise_background(reference_spec(pump_power_w=0.0))
-        assert bg.total_photons_per_gate == 0.0
+        assert _background(pump_power_w=0.0) == 0.0
 
     def test_linearity(self):
-        one = noise_background(reference_spec(pump_power_w=0.013))
-        two = noise_background(reference_spec(pump_power_w=0.026))
-        assert two.leak_photons_per_gate == pytest.approx(2 * one.leak_photons_per_gate, rel=1e-12)
-        assert two.raman_photons_per_gate == pytest.approx(2 * one.raman_photons_per_gate, rel=1e-12)
+        for interferometer in (None, InterferometerSpec()):
+            one = _background(interferometer=interferometer, pump_power_w=0.013)
+            two = _background(interferometer=interferometer, pump_power_w=0.026)
+            assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_split(self):
-        bg = noise_background(reference_spec())
-        assert bg.leak_photons_per_gate == pytest.approx(0.8 * bg.total_photons_per_gate, rel=1e-12)
-        assert bg.total_photons_per_gate == pytest.approx(
-            0.09446572517398062 * 0.027, rel=1e-12
-        )
+        total = 0.09446572517398062 * 0.027
+        assert _background() == pytest.approx(total, rel=1e-12)
+        # behind a 0 dB interferometer the leak (0.8) stays and the Raman light halves
+        behind = _background(interferometer=InterferometerSpec(oob_suppression_db=0.0))
+        assert behind == pytest.approx((0.8 + 0.2 / 2) * total, rel=1e-12)
 
     def test_scaled(self):
-        bg = noise_background(reference_spec()).scaled(0.5)
-        full = noise_background(reference_spec())
-        assert bg.total_photons_per_gate == pytest.approx(
-            full.total_photons_per_gate / 2, rel=1e-12
-        )
+        for interferometer in (None, InterferometerSpec()):
+            full = _background(interferometer=interferometer)
+            assert _background(0.5, interferometer) == pytest.approx(full / 2, rel=1e-12)
+            assert _background(0.0, interferometer) == 0.0
+
+    def test_rejects_a_product_that_overflows(self):
+        with pytest.raises(ValueError, match="beta"):
+            _background(noise_coeff_beta=1e300, pump_power_w=1e10)

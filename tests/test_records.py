@@ -2,7 +2,6 @@
 ``replace``, copies and pickles."""
 
 import copy
-import math
 import pickle
 
 import pytest
@@ -21,7 +20,6 @@ from qfdc.model import (
     ConverterSpec,
     DetectorSpec,
     InterferometerSpec,
-    NoiseBackground,
     OpticalMode,
     ProcessKind,
     ThreeWaveProcess,
@@ -44,9 +42,6 @@ CASES = {
                       ("process", "eta_nor_per_w", "pump_power_w", "system_transmission",
                        "noise_coeff_beta", "leak_fraction"),
                       {"pump_power_w": -1.0}),
-    "NoiseBackground": (lambda: NoiseBackground(1e-4, 2e-4),
-                        ("leak_photons_per_gate", "raman_photons_per_gate"),
-                        {"raman_photons_per_gate": math.nan}),
     "InterferometerSpec": (InterferometerSpec, ("phase_bias_theta", "oob_suppression_db"),
                            {"oob_suppression_db": -1.0}),
     "DetectorSpec": (DetectorSpec, ("efficiency", "dark_prob_per_gate", "gate_rate_hz"),
@@ -99,7 +94,7 @@ def case(request):
 
 
 def test_every_class_is_covered():
-    assert len(CASES) == 18
+    assert len(CASES) == 17
     assert {make().__class__.__name__ for make, _, _ in CASES.values()} == set(CASES)
 
 
