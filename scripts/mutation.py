@@ -6,8 +6,9 @@
 
 Each mutant swaps one operator of the module: ``+``/``-``, ``*``/``/``,
 ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``is``/``is not`` or
-``in``/``not in`` (binary operations and comparisons found with ``ast``;
-only the operator's characters change, so line numbers hold).
+``in``/``not in`` (binary operations and comparisons found with ``ast``),
+or one boolean constant, ``True``/``False``; only the operator's or the
+constant's characters change, so line numbers hold.
 ``--text-mutants`` adds hand-made mutants for code with no operator to
 swap: a JSON list of ``{"mutant": label, "module": path, "from": text,
 "to": text}``, each replacing one source text that occurs exactly once. The
@@ -38,7 +39,8 @@ import tokenize
 from pathlib import Path
 
 SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">",
-         "==": "!=", "!=": "==", "is": "is not", "is not": "is", "in": "not in", "not in": "in"}
+         "==": "!=", "!=": "==", "is": "is not", "is not": "is", "in": "not in", "not in": "in",
+         "True": "False", "False": "True"}
 #: The NAME tokens that spell the identity and membership operators.
 WORDS = ("is", "in", "not")
 BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
@@ -48,11 +50,13 @@ HYPOTHESIS_SEED = 0
 
 
 def sites(source: str) -> list[tuple[int, int, str]]:
-    """(line, column, operator) of every swappable operator, in source order.
+    """(line, column, operator) of every swappable operator and boolean
+    constant, in source order.
 
     The operator is the one OP token in ``SWAPS`` between its two operands,
     or the one or two NAME tokens of ``is``, ``is not``, ``in`` or
-    ``not in`` there, joined by a space."""
+    ``not in`` there, joined by a space. A constant is ``True`` or
+    ``False``, as ``ast`` finds it."""
     lines = source.splitlines(keepends=True)
 
     def char_pos(line: int, byte_col: int) -> tuple[int, int]:  # ast columns are UTF-8 bytes
@@ -63,6 +67,9 @@ def sites(source: str) -> list[tuple[int, int, str]]:
            or (tok.type == tokenize.NAME and tok.string in WORDS)]
     found = set()
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) is bool:
+            found.add((*char_pos(node.lineno, node.col_offset), str(node.value)))
+            continue
         if isinstance(node, ast.BinOp) and isinstance(node.op, BINOPS):
             pairs = [(node.left, node.right)]
         elif isinstance(node, ast.Compare):

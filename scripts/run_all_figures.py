@@ -30,19 +30,14 @@ def main() -> int:
                         help="override the config's output directory")
     args = parser.parse_args()
 
-    steps = [["calibrate", args.config]]
+    steps = [("calibration.json", ["calibrate", args.config])]
+    steps += [(f"{s}.csv", ["run", s, args.config]) for s in ("fig4a", "fig4b", "fig5", "fig6")]
+    steps += [("fig5_control.csv", ["run", "fig5", args.config, "--no-interferometer"])]
     if args.out_dir:
-        steps[0] += ["--out", str(Path(args.out_dir) / "calibration.json")]
-    for scenario in ("fig4a", "fig4b", "fig5", "fig6"):
-        step = ["run", scenario, args.config]
-        if args.out_dir:
-            step += ["--out", str(Path(args.out_dir) / f"{scenario}.csv")]
-        steps.append(step)
-    control = ["run", "fig5", args.config, "--no-interferometer"]
-    control += ["--out", str(Path(args.out_dir or "results") / "fig5_control.csv")]
-    steps.append(control)
+        steps = [(name, step + ["--out", str(Path(args.out_dir) / name)])
+                 for name, step in steps]
 
-    for step in steps:
+    for _, step in steps:
         t0 = time.perf_counter()
         code = qfdc_main(step)
         print(f"[{time.perf_counter() - t0:6.1f}s] qfdc {' '.join(step)} -> exit {code}")

@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 #: The drivers, imported from ``experiment`` on first access (PEP 562), so
 #: that ``validate`` and ``calibrate`` do not load the Monte Carlo.
-_DRIVERS = ("default_phi_grid", "run_fig4a", "run_fig4b", "run_fig5", "run_fig6")
+_DRIVERS = ("run_fig4a", "run_fig4b", "run_fig5", "run_fig6")
 
 OUTPUT_DIR_ENV = "QFDC_OUTPUT_DIR"
 
@@ -217,7 +217,7 @@ class Fig5(_Record):
         _setfield(self, "control", control)
 
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
-        return run_fig5(chain, self.mu, default_phi_grid(self.n_phi),
+        return run_fig5(chain, self.mu, n_phi=self.n_phi,
                         gates_per_point=self.gates_per_point, seed=seed, control=self.control)
 
 
@@ -427,7 +427,9 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     seed = cfg.seed if args.seed is None else args.seed
     scan = run_scenario(args.scenario, cfg, seed, control_override=args.no_interferometer)
-    path = _output_path(cfg, args.out, f"{args.scenario}.csv")
+    # a control run does not overwrite the fringe that the same config wrote
+    suffix = "_control" if scan.fit.get("control") else ""
+    path = _output_path(cfg, args.out, f"{args.scenario}{suffix}.csv")
     try:
         _write_csv(path, CSV_SCHEMAS[args.scenario], scan)
     except OSError as exc:
@@ -448,7 +450,8 @@ commands:
   calibrate  fit chain parameters to the configured targets and write the report
              (default <output_dir>/calibration.json)
   run        run a scenario and write its CSV (default <output_dir>/<scenario>.csv);
-             --no-interferometer is the fig5 control run with the interferometer removed
+             --no-interferometer is the fig5 control run with the interferometer removed;
+             a control run writes <output_dir>/fig5_control.csv by default
   validate   check a configuration file
 
 Options may come anywhere after the command, as --opt VALUE or --opt=VALUE,

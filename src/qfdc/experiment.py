@@ -6,7 +6,9 @@ Each driver plans, draws and estimates: it checks its arguments, forms each
 point's click probability with the closed form of :mod:`qfdc.model` and
 lays out the seeds; ``_draw`` samples the click counts by seeded Monte Carlo;
 the figure's ``_estimate_fig*`` reads only the click probabilities and their
-sigmas, so it runs as well on the closed form's, with ``_sigma``. The train
+sigmas, so it runs as well on the closed form's, with ``_sigma``. fig5 and
+fig6 fit each fringe with ``fit_cosine``, one plain tuple per fringe, and
+read both visibilities and their sigmas from ``_visibilities``. The train
 pipeline that is the closed form's reference is in :mod:`qfdc.reference`.
 """
 
@@ -24,7 +26,6 @@ from .model import (
     DetectorSpec,
     _ClosedForm,
     _Record,
-    _setfield,
     analytic_visibility,  # no driver calls these two; bench/tracer.py patches them here
     expected_rate,
 )
@@ -49,82 +50,48 @@ def __getattr__(name: str):
 # --- fitting helpers -------------------------------------------------------
 
 
-class CosineFit(_Record):
-    """Linear least-squares fit of y ~ c0 + c1*cos(phi)."""
-
-    __slots__ = ("c0", "c1", "c0_sigma", "c1_sigma", "c0c1_cov")
-
-    def __init__(self, c0: float, c1: float, c0_sigma: float, c1_sigma: float,
-                 c0c1_cov: float) -> None:
-        _setfield(self, "c0", c0)
-        _setfield(self, "c1", c1)
-        _setfield(self, "c0_sigma", c0_sigma)
-        _setfield(self, "c1_sigma", c1_sigma)
-        _setfield(self, "c0c1_cov", c0c1_cov)
-
-    @property
-    def visibility(self) -> float:
-        """c1/c0; NaN when the fitted offset is not positive."""
-        if self.c0 <= 0.0:
-            return math.nan
-        return self.c1 / self.c0
-
-    @property
-    def visibility_sigma(self) -> float:
-        if self.c0 <= 0.0:
-            return math.nan
-        return self._ratio_sigma(self.c0)
-
-    def visibility_dark_subtracted(self, dark_prob: float) -> float:
-        """c1/(c0 - dark_prob); NaN when the dark-subtracted offset is not
-        resolved from zero, that is when it does not exceed ``c0_sigma``."""
-        if self.c0 - dark_prob <= self.c0_sigma:
-            return math.nan
-        return self.c1 / (self.c0 - dark_prob)
-
-    def visibility_dark_subtracted_sigma(self, dark_prob: float) -> float:
-        if self.c0 - dark_prob <= self.c0_sigma:
-            return math.nan
-        return self._ratio_sigma(self.c0 - dark_prob)
-
-    def _ratio_sigma(self, denom: float) -> float:
-        # delta method on c1/denom, denom = c0 - const
-        g0 = -self.c1 / denom**2
-        g1 = 1.0 / denom
-        var = (
-            g0 * g0 * self.c0_sigma**2
-            + 2.0 * g0 * g1 * self.c0c1_cov
-            + g1 * g1 * self.c1_sigma**2
-        )
-        return math.sqrt(max(var, 0.0))
-
-
-def fit_cosine(
-    phis: np.ndarray, values: np.ndarray, sigmas: np.ndarray
-) -> CosineFit | list[CosineFit]:
-    """Fit c0 + c1*cos(phi) by ordinary least squares.
+def fit_cosine(phis: np.ndarray, rows: np.ndarray,
+               sigma_rows: np.ndarray) -> list[tuple[float, float, float, float, float]]:
+    """Fit c0 + c1*cos(phi) to each row by ordinary least squares, giving
+    one ``(c0, c1, c0_sigma, c1_sigma, c0c1_cov)`` per row.
 
     The per-point sigmas enter only the parameter covariance (sandwich
     form), keeping the estimator itself independent of the noise estimates.
-    A 1-d ``values`` is one fringe and gives one fit; a 2-d ``values`` and
-    ``sigmas`` hold one fringe per row over the same phases and give a list
-    of fits. The design matrix [1, cos(phi)] and the inverse of its normal
-    matrix are formed once per call, and the products of all fringes are
-    stacked; numpy computes each fringe's product as it would for a fit of
-    its own, so its bits are the same.
+    ``rows`` and ``sigma_rows`` hold one fringe per row over the same phases.
+    The design matrix [1, cos(phi)] and the inverse of its normal matrix are
+    formed once per call, and the products of all fringes are stacked; numpy
+    computes each fringe's product as it would for a fit of its own, so its
+    bits are the same.
     """
     import numpy as np
-    phis, y, sig = (np.asarray(a, dtype=float) for a in (phis, values, sigmas))
+    phis, y, sig = (np.asarray(a, dtype=float) for a in (phis, rows, sigma_rows))
     x = np.column_stack([np.ones_like(phis), np.cos(phis)])
     xtx_inv = np.linalg.inv(x.T @ x)
-    y_rows, sig_rows = np.atleast_2d(y), np.atleast_2d(sig)
-    coefs = xtx_inv @ (x.T @ y_rows[:, :, None])
-    middle = (x * (sig_rows**2)[:, :, None]).transpose(0, 2, 1) @ x
+    coefs = xtx_inv @ (x.T @ y[:, :, None])
+    middle = (x * (sig**2)[:, :, None]).transpose(0, 2, 1) @ x
     covs = xtx_inv @ middle @ xtx_inv
-    fits = [CosineFit(c0, c1, math.sqrt(max(var0, 0.0)), math.sqrt(max(var1, 0.0)), cov01)
+    return [(c0, c1, math.sqrt(max(var0, 0.0)), math.sqrt(max(var1, 0.0)), cov01)
             for ((c0,), (c1,)), ((var0, cov01), (_, var1))
             in zip(coefs.tolist(), covs.tolist(), strict=True)]
-    return fits if y.ndim == 2 else fits[0]
+
+
+def _visibilities(fit: tuple[float, ...], dark: float) -> tuple[float, float, float, float]:
+    """A cosine fit's visibility c1/c0 and dark-subtracted visibility
+    c1/(c0 - dark), each with its delta-method sigma: ``(v, v_sigma, v_sub,
+    v_sub_sigma)``. v is NaN when c0 is not positive, and v_sub when
+    c0 - dark is not resolved from zero, that is when it does not exceed
+    ``c0_sigma``."""
+    c0, c1, c0_sigma, c1_sigma, c0c1_cov = fit
+    out = ()
+    for denom, unresolved in ((c0, c0 <= 0.0), (c0 - dark, c0 - dark <= c0_sigma)):
+        if unresolved:
+            out += (math.nan, math.nan)
+            continue
+        g0 = -c1 / denom**2
+        g1 = 1.0 / denom
+        var = g0 * g0 * c0_sigma**2 + 2.0 * g0 * g1 * c0c1_cov + g1 * g1 * c1_sigma**2
+        out += (c1 / denom, math.sqrt(max(var, 0.0)))
+    return out
 
 
 def fit_through_origin(x: np.ndarray, y: np.ndarray,
@@ -333,23 +300,27 @@ def _estimate_fig4b(mus: list[float], p: np.ndarray, sigma: np.ndarray) -> tuple
                      "floor_mean": float(np.mean(p_bg))}
 
 
-def default_phi_grid(n_phi: int = DEFAULT_N_PHI) -> np.ndarray:
-    """Evenly spaced modulation phases over one full fringe period."""
+def _phases(n_phi: int) -> np.ndarray:
+    """``n_phi`` evenly spaced modulation phases over one full fringe period;
+    a cosine fit needs at least 4."""
     import numpy as np
+    if n_phi < 4:
+        raise ValueError(f"fringe scan needs at least 4 phase points, got {n_phi}")
     return np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
 
 
 def run_fig5(
     params: ChainParams,
     mu: float,
-    phi_grid=None,
+    n_phi: int = DEFAULT_N_PHI,
     gates_per_point: int = DEFAULT_GATES_PER_POINT,
     seed: int = 0,
     *,
     workers: int = 1,
     control: bool = False,
 ) -> ScanResult:
-    """Fringe scan: count rate versus the phase-modulation depth phi.
+    """Fringe scan: count rate versus the phase-modulation depth phi, at
+    ``n_phi`` phases over one period.
 
     Fits c0 + c1*cos(phi) and reports the visibility c1/c0 with its
     propagated uncertainty, NaN when the fitted c0 is not positive, plus the
@@ -362,18 +333,16 @@ def run_fig5(
     import numpy as np
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    phis = default_phi_grid() if phi_grid is None else np.asarray(phi_grid, dtype=float)
-    if phis.size < 4:
-        raise ValueError(f"fringe scan needs at least 4 phase points, got {phis.size}")
+    phis = _phases(n_phi)
     if not control and params.interferometer is None:
         raise ValueError("fringe scan requires an interferometer in the chain")
     # modulation is still applied at the source, but without the
     # interferometer it cannot reach the count rate; phi=None gives the
     # identical per-gate mean
     run_params = params.without_interferometer() if control else params
-    probs = _ClosedForm(run_params).grid([mu], [None] * phis.size if control else phis.tolist())
-    seeds = derive_seeds(seed, np.arange(phis.size))
-    clicks, p, sigma = _draw(probs, gates_per_point, seeds, phis.size)
+    probs = _ClosedForm(run_params).grid([mu], [None] * n_phi if control else phis.tolist())
+    seeds = derive_seeds(seed, np.arange(n_phi))
+    clicks, p, sigma = _draw(probs, gates_per_point, seeds, n_phi)
     columns, fit = _estimate_fig5(phis, params.detector, p, sigma)
     fit["control"] = 1.0 if control else 0.0
     return ScanResult(columns=columns, fit=fit,
@@ -384,15 +353,13 @@ def _estimate_fig5(phis: np.ndarray, detector: DetectorSpec, p: np.ndarray,
                    sigma: np.ndarray) -> tuple[dict, dict]:
     """fig5's columns and fit from one fringe's click probabilities and
     sigmas, shape (1, n_phi)."""
-    fitted, = fit_cosine(phis, p, sigma)
-    dark, rate_hz = detector.dark_prob_per_gate, detector.gate_rate_hz
+    fit, = fit_cosine(phis, p, sigma)
+    rate_hz = detector.gate_rate_hz
     columns = {"phi_rad": phis.tolist(), "rate_per_s": (p[0] * rate_hz).tolist(),
                "rate_sigma": (sigma[0] * rate_hz).tolist()}
-    return columns, {"c0": fitted.c0, "c1": fitted.c1, "c0_sigma": fitted.c0_sigma,
-                     "c1_sigma": fitted.c1_sigma, "visibility": fitted.visibility,
-                     "visibility_sigma": fitted.visibility_sigma,
-                     "visibility_sub": fitted.visibility_dark_subtracted(dark),
-                     "visibility_sub_sigma": fitted.visibility_dark_subtracted_sigma(dark)}
+    names = ("c0", "c1", "c0_sigma", "c1_sigma", "visibility", "visibility_sigma",
+             "visibility_sub", "visibility_sub_sigma")
+    return columns, dict(zip(names, fit[:4] + _visibilities(fit, detector.dark_prob_per_gate)))
 
 
 def run_fig6(
@@ -412,12 +379,10 @@ def run_fig6(
     import numpy as np
     if params.interferometer is None:
         raise ValueError("the visibility sweep requires an interferometer in the chain")
-    if n_phi < 4:
-        raise ValueError(f"fringe scan needs at least 4 phase points, got {n_phi}")
+    phis = _phases(n_phi)
     mus = [float(m) for m in mu_grid]
     if not mus:
         raise ValueError("the mu grid is empty")
-    phis = default_phi_grid(n_phi)
     closed_form = _ClosedForm(params)
     probs = closed_form.grid(mus, phis.tolist())
     seeds = derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None], np.arange(n_phi))
@@ -430,13 +395,11 @@ def _estimate_fig6(mus: list[float], phis: np.ndarray, closed_form: _ClosedForm,
                    detector: DetectorSpec, p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
     """fig6's columns and fit from each mu's fringe of click probabilities
     and sigmas, shape (n_mus, n_phi)."""
-    fits = fit_cosine(phis, p, sigma)
     dark = detector.dark_prob_per_gate
+    rows = [_visibilities(fit, dark) for fit in fit_cosine(phis, p, sigma)]
     analytic = [closed_form.visibility(mu) for mu in mus]
-    columns = {"mu": mus, "v_raw": [f.visibility for f in fits],
-               "v_raw_sigma": [f.visibility_sigma for f in fits],
-               "v_sub": [f.visibility_dark_subtracted(dark) for f in fits],
-               "v_sub_sigma": [f.visibility_dark_subtracted_sigma(dark) for f in fits],
+    names = ("v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma")
+    columns = {"mu": mus, **{name: [row[k] for row in rows] for k, name in enumerate(names)},
                "v_analytic": [raw for raw, _ in analytic],
                "v_analytic_sub": [sub for _, sub in analytic]}
     columns["detectable"] = [1.0 if v > 3.0 * s else 0.0

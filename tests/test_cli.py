@@ -405,6 +405,29 @@ class TestRunCommand:
         assert main(["run", "fig5", str(config)]) == 0
         assert (tmp_path / "results" / "fig5.csv").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_control_run_writes_its_own_file(self, tmp_path, capsys, how):
+        # the fringe and its control land side by side; the control run
+        # leaves the fringe's bytes as they were
+        config = _fast_config(tmp_path)
+        assert main(["run", "fig5", str(config)]) == 0
+        fringe = tmp_path / "results" / "fig5.csv"
+        before = fringe.read_bytes()
+        if how == "flag":
+            argv = ["run", "fig5", str(config), "--no-interferometer"]
+        else:
+            raw = json.loads(config.read_text())
+            raw["scenarios"]["fig5"]["control"] = True
+            config.write_text(json.dumps(raw))
+            argv = ["run", "fig5", str(config)]
+        assert main(argv) == 0
+        control = tmp_path / "results" / "fig5_control.csv"
+        assert f"written to {control}" in capsys.readouterr().out
+        assert fringe.read_bytes() == before
+        assert control.read_bytes() != before
+        assert sorted(f.name for f in control.parent.iterdir()) == ["fig5.csv",
+                                                                    "fig5_control.csv"]
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         config = _fast_config(tmp_path)
         raw = json.loads(config.read_text())

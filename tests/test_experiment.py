@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from qfdc.cli import load_config
 from qfdc.detector import CountSummary
 from qfdc.experiment import (
-    CosineFit,
     ScanResult,
     _draw,
     _estimate_fig4a,
     _estimate_fig4b,
     _estimate_fig5,
     _estimate_fig6,
+    _phases,
     _sigma,
-    default_phi_grid,
+    _visibilities,
     fit_cosine,
     fit_through_origin,
     run_fig4a,
@@ -228,8 +228,9 @@ class TestMonteCarloAgainstAnalytic:
         assert ok >= 99
 
 
-def _reference_cosine_fit(phis, values, sigmas) -> CosineFit:
-    """One fringe's least-squares cosine fit, its design formed anew."""
+def _reference_cosine_fit(phis, values, sigmas) -> tuple[float, float, float, float, float]:
+    """One fringe's least-squares cosine fit, its design formed anew:
+    (c0, c1, c0_sigma, c1_sigma, c0c1_cov)."""
     phis = np.asarray(phis, dtype=float)
     y = np.asarray(values, dtype=float)
     sig = np.asarray(sigmas, dtype=float)
@@ -237,72 +238,68 @@ def _reference_cosine_fit(phis, values, sigmas) -> CosineFit:
     xtx_inv = np.linalg.inv(x.T @ x)
     coef = xtx_inv @ (x.T @ y)
     cov = xtx_inv @ ((x * (sig**2)[:, None]).T @ x) @ xtx_inv
-    return CosineFit(
-        c0=float(coef[0]),
-        c1=float(coef[1]),
-        c0_sigma=float(math.sqrt(max(cov[0, 0], 0.0))),
-        c1_sigma=float(math.sqrt(max(cov[1, 1], 0.0))),
-        c0c1_cov=float(cov[0, 1]),
-    )
+    return (float(coef[0]), float(coef[1]), float(math.sqrt(max(cov[0, 0], 0.0))),
+            float(math.sqrt(max(cov[1, 1], 0.0))), float(cov[0, 1]))
 
 
 class TestFitHelpers:
     @pytest.mark.parametrize("n_values, n_sigmas", [(2, 3), (3, 2), (1, 2), (2, 1)])
     def test_cosine_fit_rejects_mismatched_rows(self, n_values, n_sigmas):
-        phis = default_phi_grid(8)
+        phis = _phases(8)
         with pytest.raises(ValueError):
             fit_cosine(phis, np.full((n_values, 8), 1e-4), np.full((n_sigmas, 8), 1e-7))
 
     def test_cosine_fit_recovers_exact_coefficients(self):
-        phis = default_phi_grid(16)
+        phis = _phases(16)
         c0, c1 = 3.5e-5, 1.2e-5
         y = c0 + c1 * np.cos(phis)
-        fit = fit_cosine(phis, y, np.full_like(y, 1e-7))
-        assert fit.c0 == pytest.approx(c0, rel=1e-12)
-        assert fit.c1 == pytest.approx(c1, rel=1e-12)
-        assert fit.visibility == pytest.approx(c1 / c0, rel=1e-12)
+        fit, = fit_cosine(phis, [y], [np.full_like(y, 1e-7)])
+        assert fit[0] == pytest.approx(c0, rel=1e-12)
+        assert fit[1] == pytest.approx(c1, rel=1e-12)
+        assert _visibilities(fit, 0.0)[0] == pytest.approx(c1 / c0, rel=1e-12)
 
     def test_cosine_fit_uncertainty_scale(self):
         # white noise of known sigma: parameter sigmas follow the design matrix
-        phis = default_phi_grid(16)
+        phis = _phases(16)
         sigma = 1e-6
-        fit = fit_cosine(phis, np.full(16, 1e-4), np.full(16, sigma))
-        assert fit.c0_sigma == pytest.approx(sigma / 4.0, rel=1e-9)          # sigma/sqrt(n)
-        assert fit.c1_sigma == pytest.approx(sigma * math.sqrt(2.0) / 4.0, rel=1e-9)
+        (_, _, c0_sigma, c1_sigma, _), = fit_cosine(phis, [np.full(16, 1e-4)],
+                                                     [np.full(16, sigma)])
+        assert c0_sigma == pytest.approx(sigma / 4.0, rel=1e-9)          # sigma/sqrt(n)
+        assert c1_sigma == pytest.approx(sigma * math.sqrt(2.0) / 4.0, rel=1e-9)
 
     def test_dark_subtracted_visibility(self):
-        phis = default_phi_grid(16)
+        phis = _phases(16)
         c0, c1, dark = 5e-5, 2e-5, 2.6e-5
-        fit = fit_cosine(phis, c0 + c1 * np.cos(phis), np.full(16, 1e-7))
-        assert fit.visibility_dark_subtracted(dark) == pytest.approx(
-            c1 / (c0 - dark), rel=1e-12
-        )
-        assert fit.visibility_dark_subtracted_sigma(dark) > fit.visibility_sigma
+        fit, = fit_cosine(phis, [c0 + c1 * np.cos(phis)], [np.full(16, 1e-7)])
+        _, v_sigma, v_sub, v_sub_sigma = _visibilities(fit, dark)
+        assert v_sub == pytest.approx(c1 / (c0 - dark), rel=1e-12)
+        assert v_sub_sigma > v_sigma
 
     @pytest.mark.parametrize("c0", [2.6e-5, 2.0e-5, 2.605e-5])
     def test_dark_subtracted_visibility_undefined_at_or_below_dark(self, c0):
         # a dark-subtracted offset within one c0_sigma of zero (or below it)
         # leaves the ratio undefined: NaN, not a raise
-        fit = CosineFit(c0=c0, c1=1e-6, c0_sigma=1e-7, c1_sigma=1e-7, c0c1_cov=0.0)
-        assert math.isnan(fit.visibility_dark_subtracted(2.6e-5))
-        assert math.isnan(fit.visibility_dark_subtracted_sigma(2.6e-5))
+        _, _, v_sub, v_sub_sigma = _visibilities((c0, 1e-6, 1e-7, 1e-7, 0.0), 2.6e-5)
+        assert math.isnan(v_sub)
+        assert math.isnan(v_sub_sigma)
 
     def test_dark_subtracted_offset_equal_to_its_sigma(self):
         # binary-exact values put c0 - dark exactly on c0_sigma: an offset that
         # does not exceed its sigma is unresolved, and one ulp less sigma
         # resolves it
-        at = CosineFit(c0=0.5, c1=0.1, c0_sigma=0.25, c1_sigma=0.01, c0c1_cov=0.0)
-        assert math.isnan(at.visibility_dark_subtracted(0.25))
-        assert math.isnan(at.visibility_dark_subtracted_sigma(0.25))
-        below = at.replace(c0_sigma=math.nextafter(0.25, 0.0))
-        assert math.isfinite(below.visibility_dark_subtracted(0.25))
-        assert math.isfinite(below.visibility_dark_subtracted_sigma(0.25))
+        _, _, v_sub, v_sub_sigma = _visibilities((0.5, 0.1, 0.25, 0.01, 0.0), 0.25)
+        assert math.isnan(v_sub)
+        assert math.isnan(v_sub_sigma)
+        below = (0.5, 0.1, math.nextafter(0.25, 0.0), 0.01, 0.0)
+        _, _, v_sub, v_sub_sigma = _visibilities(below, 0.25)
+        assert math.isfinite(v_sub)
+        assert math.isfinite(v_sub_sigma)
 
     @pytest.mark.parametrize("c0", [0.0, -1e-6])
     def test_visibility_undefined_at_or_below_zero_offset(self, c0):
-        fit = CosineFit(c0=c0, c1=1e-6, c0_sigma=1e-7, c1_sigma=1e-7, c0c1_cov=0.0)
-        assert math.isnan(fit.visibility)
-        assert math.isnan(fit.visibility_sigma)
+        v, v_sigma, _, _ = _visibilities((c0, 1e-6, 1e-7, 1e-7, 0.0), 2.6e-5)
+        assert math.isnan(v)
+        assert math.isnan(v_sigma)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -319,12 +316,12 @@ class TestFitHelpers:
         # fringes fitted as rows of one call have the bits of a fresh
         # one-fringe fit, and of the fit written out in full
         rng = np.random.default_rng(seed)
-        phis = default_phi_grid(n_phi) if default_grid else rng.uniform(-10.0, 10.0, n_phi)
+        phis = _phases(n_phi) if default_grid else rng.uniform(-10.0, 10.0, n_phi)
         shape = (n_fringes, n_phi)
         values = np.reshape(rng.uniform(0.0, 1e-2, shape).tolist(), shape)
         sigmas = np.reshape((10.0 ** rng.uniform(-12.0, -3.0, shape)).tolist(), shape)
         shared = fit_cosine(phis, values, sigmas)
-        alone = [fit_cosine(phis.tolist(), y.tolist(), sig.tolist())
+        alone = [fit_cosine(phis.tolist(), [y.tolist()], [sig.tolist()])[0]
                  for y, sig in zip(values, sigmas)]
         reference = [_reference_cosine_fit(phis, y.tolist(), sig.tolist())
                      for y, sig in zip(values, sigmas)]
@@ -351,11 +348,11 @@ class TestFitHelpers:
         assert p.shape == sigma.shape == (1, n)
 
     def test_cosine_fit_of_one_fringe_is_one_fit(self):
-        phis = default_phi_grid(8)
+        phis = _phases(8)
         y = 1e-4 + 3e-5 * np.cos(phis)
-        one = fit_cosine(phis, y, np.full(8, 1e-7))
-        assert isinstance(one, CosineFit)
-        assert fit_cosine(phis, [y], [np.full(8, 1e-7)]) == [one]
+        fits = fit_cosine(phis, [y], [np.full(8, 1e-7)])
+        assert fits == [_reference_cosine_fit(phis, y, np.full(8, 1e-7))]
+        assert all(type(v) is float for v in fits[0])
 
     def test_through_origin_fit_without_nonzero_abscissa(self):
         slope, slope_sigma = fit_through_origin(np.zeros(3), np.ones(3), np.ones(3))
@@ -448,9 +445,10 @@ class TestScenarioDrivers:
     def test_fig6_detects_only_above_three_sigma(self, chain, monkeypatch):
         # run_fig6 fits through the module's fit_cosine, which the bench
         # tracer wraps; a visibility of exactly three sigmas is not detected
-        at = CosineFit(c0=1.0, c1=0.75, c0_sigma=0.0, c1_sigma=0.25, c0c1_cov=0.0)
-        above = at.replace(c1_sigma=0.2499)
-        assert at.visibility == 3.0 * at.visibility_sigma
+        at = (1.0, 0.75, 0.0, 0.25, 0.0)
+        above = (1.0, 0.75, 0.0, 0.2499, 0.0)
+        v, v_sigma, _, _ = _visibilities(at, 0.0)
+        assert v == 3.0 * v_sigma
         monkeypatch.setattr("qfdc.experiment.fit_cosine", lambda phis, p, sigma: [at, above])
         scan = run_fig6(chain, [0.7, 45.0], 4, 1000)
         assert scan.columns["detectable"] == [0.0, 1.0]
@@ -496,8 +494,8 @@ class TestScenarioDrivers:
         assert [s.clicks for s in a.raw] == [s.clicks for s in b.raw]
 
     def test_fig5_rejects_short_grid(self, chain):
-        with pytest.raises(ValueError):
-            run_fig5(chain, 0.7, phi_grid=[0.0, 1.0, 2.0], gates_per_point=1000, seed=1)
+        with pytest.raises(ValueError, match="at least 4 phase points, got 3"):
+            run_fig5(chain, 0.7, n_phi=3, gates_per_point=1000, seed=1)
 
     def test_fig5_offset_below_dark(self, chain):
         # no pump and no signal: the fitted offset is the dark floor plus noise,
@@ -583,7 +581,7 @@ class TestEstimatorsOnTheClosedForm:
 
     def test_fig5(self, chain):
         cfg = self.scenarios["fig5"]
-        phis = default_phi_grid(cfg.n_phi)
+        phis = _phases(cfg.n_phi)
         probs = _ClosedForm(chain).grid([cfg.mu], phis.tolist())
         _, fit = _estimate_fig5(phis, chain.detector, *_expected(probs, cfg.n_phi,
                                                                  cfg.gates_per_point))
@@ -597,7 +595,7 @@ class TestEstimatorsOnTheClosedForm:
                  15.0: (0.884874, -1.360e-4, 455.0), 45.0: (0.924945, -3.820e-4, 831.0)}
         cfg = self.scenarios["fig6"]
         assert (cfg.n_phi, cfg.gates_per_point) == (16, 40_000_000)
-        mus, phis, closed_form = list(cfg.mu), default_phi_grid(cfg.n_phi), _ClosedForm(chain)
+        mus, phis, closed_form = list(cfg.mu), _phases(cfg.n_phi), _ClosedForm(chain)
         columns, fit = _estimate_fig6(
             mus, phis, closed_form, chain.detector,
             *_expected(closed_form.grid(mus, phis.tolist()), cfg.n_phi, cfg.gates_per_point))
@@ -608,6 +606,21 @@ class TestEstimatorsOnTheClosedForm:
             assert v_raw - columns["v_analytic"][j] == pytest.approx(gap, rel=5e-3)
             assert v_raw / v_sigma == pytest.approx(v_over_sigma, rel=5e-3)
         assert fit["smallest_detectable_mu"] == 0.09
+
+    def test_fig5_and_fig6_read_one_visibility(self, chain):
+        # fig5's fringe at its mu is fig6's row at that mu: both estimators
+        # read the same four visibilities from the same fit
+        cfg = self.scenarios["fig5"]
+        phis, closed_form = _phases(cfg.n_phi), _ClosedForm(chain)
+        p, sigma = _expected(closed_form.grid([cfg.mu], phis.tolist()), cfg.n_phi,
+                             cfg.gates_per_point)
+        _, fit = _estimate_fig5(phis, chain.detector, p, sigma)
+        columns, _ = _estimate_fig6([cfg.mu], phis, closed_form, chain.detector, p, sigma)
+        fig5 = [fit[name] for name in ("visibility", "visibility_sigma", "visibility_sub",
+                                       "visibility_sub_sigma")]
+        fig6 = [columns[name][0] for name in ("v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma")]
+        assert all(math.isfinite(v) for v in fig5)
+        assert [v.hex() for v in fig5] == [v.hex() for v in fig6]
 
 
 #: masters at SeedSequence's word boundaries, and one wider than 64 bits
@@ -657,8 +670,8 @@ class TestScansMatchPointByPoint:
     @pytest.mark.parametrize("seed", _SEEDS)
     @pytest.mark.parametrize("control", [False, True])
     def test_fig5(self, chain, seed, control):
-        phis, gates = default_phi_grid(8), 2_500_000
-        scan = run_fig5(chain, 0.7, phis, gates, seed, control=control)
+        phis, gates = _phases(8), 2_500_000
+        scan = run_fig5(chain, 0.7, 8, gates, seed, control=control)
         params = chain.without_interferometer() if control else chain
         raw = [
             simulate_point(0.7, None if control else float(phi), params, gates,
@@ -668,10 +681,9 @@ class TestScansMatchPointByPoint:
         assert scan.raw == raw
         assert scan.columns["rate_per_s"] == [s.rate_per_s for s in raw]
         assert scan.columns["rate_sigma"] == [s.sigma_p * s.gate_rate_hz for s in raw]
-        fit = fit_cosine(phis, np.array([s.p_click for s in raw]),
-                         np.array([s.sigma_p for s in raw]))
+        fit, = fit_cosine(phis, [[s.p_click for s in raw]], [[s.sigma_p for s in raw]])
         assert (scan.fit["c0"], scan.fit["c1"], scan.fit["visibility"]) == (
-            fit.c0, fit.c1, fit.visibility
+            fit[0], fit[1], _visibilities(fit, chain.detector.dark_prob_per_gate)[0]
         )
 
     @pytest.mark.parametrize("driver", [run_fig4a, run_fig4b])
@@ -698,20 +710,16 @@ class TestScansMatchPointByPoint:
         with monkeypatch.context() as patch:
             patch.setattr("qfdc.experiment.CountSummary", None)
             scan = run_fig6(chain, mus, n_phi, gates, seed)
-        phis = default_phi_grid(n_phi)
+        phis = _phases(n_phi)
         dark = chain.detector.dark_prob_per_gate
         for j, mu in enumerate(mus):
             raw = [simulate_point(mu, float(phi), chain, gates,
                                   derive_seed(derive_seed(seed, j), i))
                    for i, phi in enumerate(phis)]
-            fit = fit_cosine(phis, np.array([s.p_click for s in raw]),
-                             np.array([s.sigma_p for s in raw]))
+            fit, = fit_cosine(phis, [[s.p_click for s in raw]], [[s.sigma_p for s in raw]])
             names = ("v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma")
-            row = [scan.columns[name][j] for name in names]
-            expected = [fit.visibility, fit.visibility_sigma,
-                        fit.visibility_dark_subtracted(dark),
-                        fit.visibility_dark_subtracted_sigma(dark)]
-            assert repr(row) == repr(expected)
+            row = tuple(scan.columns[name][j] for name in names)
+            assert repr(row) == repr(_visibilities(fit, dark))
 
 
 #: 2**20 + 5 gates: two blocks per point, the second of 5 gates
@@ -750,7 +758,7 @@ class TestFrozenScans:
         (2**64 - 1, True, [132, 114, 113, 120]),
     ])
     def test_fig5(self, chain, seed, control, clicks):
-        scan = run_fig5(chain, 0.7, default_phi_grid(4), _TWO_BLOCKS, seed, control=control)
+        scan = run_fig5(chain, 0.7, 4, _TWO_BLOCKS, seed, control=control)
         assert [s.clicks for s in scan.raw] == clicks
 
     @pytest.mark.parametrize("seed, v_raw, v_raw_sigma", [

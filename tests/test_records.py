@@ -15,7 +15,7 @@ from qfdc.calibration import (
 )
 from qfdc.cli import Fig4a, Fig4b, Fig5, Fig6, ScenarioConfig
 from qfdc.detector import CountSummary
-from qfdc.experiment import CosineFit, ScanResult
+from qfdc.experiment import ScanResult
 from qfdc.model import (
     ConverterSpec,
     DetectorSpec,
@@ -74,8 +74,6 @@ CASES = {
                        None),
     "CountSummary": (lambda: CountSummary(1000, 7, 4e6), ("gates", "clicks", "gate_rate_hz"),
                      {"clicks": 1001}),
-    "CosineFit": (lambda: CosineFit(5e-5, 2e-5, 3e-7, 4e-7, -1e-15),
-                  ("c0", "c1", "c0_sigma", "c1_sigma", "c0c1_cov"), None),
     "ScanResult": (lambda: ScanResult({"mu": [0.1, 0.7], "p": [0.2, 0.3]}, {"slope": 1.0},
                                       [CountSummary(10, 2, 4e6), CountSummary(10, 3, 4e6)]),
                    ("columns", "fit", "raw"),
@@ -94,7 +92,7 @@ def case(request):
 
 
 def test_every_class_is_covered():
-    assert len(CASES) == 17
+    assert len(CASES) == 16
     assert {make().__class__.__name__ for make, _, _ in CASES.values()} == set(CASES)
 
 
@@ -164,10 +162,11 @@ def test_copy_and_pickle_give_an_equal_instance(case):
 
 
 def test_replace_changes_only_the_named_field():
-    fit = CosineFit(5e-5, 2e-5, 3e-7, 4e-7, -1e-15)
-    moved = fit.replace(c1=1e-5)
-    assert (moved.c0, moved.c1, moved.c0c1_cov) == (5e-5, 1e-5, -1e-15)
-    assert fit.c1 == 2e-5
+    spec = ConverterSpec(_process(), 2.0, 0.027, 0.5, 1e-3)
+    moved = spec.replace(pump_power_w=0.01)
+    assert [getattr(moved, name) for name in spec.__slots__] == [
+        spec.process, 2.0, 0.01, 0.5, 1e-3, 0.8]
+    assert spec.pump_power_w == 0.027
 
 
 def test_copies_and_pickles_go_through_the_constructor():
