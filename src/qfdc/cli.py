@@ -248,38 +248,32 @@ class ScenarioConfig(_Record):
     """Validated run description: chain source, scenario settings, seed, output.
 
     ``targets``, ``context`` and ``scenarios`` default to new default
-    instances. Unlike the other records, a config is mutable and unhashable.
+    instances; ``chain_params``, when given, are the four chain parameters of
+    the config's ``chain`` section.
     """
 
-    __slots__ = ("seed", "output_dir", "targets", "context", "chain_params",
-                 "chain_from_report", "scenarios")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    __slots__ = ("seed", "output_dir", "targets", "context", "chain_params", "scenarios")
 
     def __init__(self, seed: int = DEFAULT_SEED, output_dir: str | None = None,
                  targets: CalibrationTargets | None = None,
                  context: CalibrationContext | None = None,
                  chain_params: dict[str, float] | None = None,
-                 chain_from_report: str | None = None, scenarios: dict | None = None) -> None:
-        self.seed = seed
-        self.output_dir = output_dir
-        self.targets = CalibrationTargets() if targets is None else targets
-        self.context = CalibrationContext() if context is None else context
-        self.chain_params = chain_params
-        self.chain_from_report = chain_from_report
-        self.scenarios = ({name: spec() for name, spec in SCENARIOS.items()}
-                          if scenarios is None else scenarios)
+                 scenarios: dict | None = None) -> None:
+        _setfield(self, "seed", seed)
+        _setfield(self, "output_dir", output_dir)
+        _setfield(self, "targets", CalibrationTargets() if targets is None else targets)
+        _setfield(self, "context", CalibrationContext() if context is None else context)
+        _setfield(self, "chain_params", chain_params)
+        _setfield(self, "scenarios", {name: spec() for name, spec in SCENARIOS.items()}
+                  if scenarios is None else scenarios)
 
 
-_TOP_KEYS = {
-    "seed", "output_dir", "targets", "apparatus", "chain", "chain_from_report", "scenarios",
-}
+_TOP_KEYS = {"seed", "output_dir", "targets", "apparatus", "chain", "scenarios"}
 _CHAIN_KEYS = tuple(BOUNDS)
 
 
 def _chain_values(section, path: str) -> dict[str, float]:
-    """The four chain parameters of a ``chain`` section or a report's ``fitted`` block."""
+    """The four chain parameters of a ``chain`` section."""
     _object(section, _CHAIN_KEYS, path)
     missing = [k for k in _CHAIN_KEYS if k not in section]
     if missing:
@@ -304,38 +298,25 @@ def load_config(path: str | Path) -> ScenarioConfig:
         output_dir=_string(raw, "output_dir"),
         targets=_section(CalibrationTargets, raw.get("targets", {}), "targets"),
         context=_section(CalibrationContext, raw.get("apparatus", {}), "apparatus"),
-        chain_from_report=_string(raw, "chain_from_report"),
         scenarios={name: _section(spec, scenarios.get(name, {}), f"scenarios.{name}")
                    for name, spec in SCENARIOS.items()},
+        chain_params=_chain_values(raw["chain"], "chain") if "chain" in raw else None,
     )
-    if "chain" in raw:
-        cfg.chain_params = _chain_values(raw["chain"], "chain")
+    if cfg.chain_params is not None:
         _assemble_chain(cfg.chain_params, cfg)  # bounds only
     return cfg
 
 
 def _chain_from_config(cfg: ScenarioConfig) -> ChainParams:
-    """Resolve the four chain parameters: explicit > report file > calibration."""
+    """The runnable chain: the explicit ``chain``, else a calibration to the targets."""
     if cfg.chain_params is not None:
-        fitted = cfg.chain_params
-    elif cfg.chain_from_report is not None:
-        try:
-            report = json.loads(Path(cfg.chain_from_report).read_text())
-            fitted = _chain_values(
-                report.get("fitted") if isinstance(report, dict) else None, "fitted"
-            )
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
-            raise ConfigError(
-                f"cannot load chain parameters from report {cfg.chain_from_report!r}: {exc}"
-            ) from exc
-    else:
-        result = calibrate(cfg.targets, cfg.context)
-        if not result.feasible:
-            raise ConfigError(
-                f"calibration from the configured targets is infeasible: {result.message}"
-            )
-        fitted = result.fitted()
-    return _assemble_chain(fitted, cfg)
+        return _assemble_chain(cfg.chain_params, cfg)
+    result = calibrate(cfg.targets, cfg.context)
+    if not result.feasible:
+        raise ConfigError(
+            f"calibration from the configured targets is infeasible: {result.message}"
+        )
+    return _assemble_chain(result.fitted(), cfg)
 
 
 def _assemble_chain(fitted: dict[str, float], cfg: ScenarioConfig) -> ChainParams:
@@ -381,13 +362,7 @@ def run_scenario(
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    report = cfg.chain_from_report
-    if cfg.chain_params is None and report is not None:
-        if os.path.exists(report):
-            _chain_from_config(cfg)  # the report branch, as ``run`` resolves it
-        else:  # ``calibrate --out`` may write it before the run
-            print(f"note: report {report!r} does not exist yet", file=sys.stderr)
+    load_config(args.config)
     print(f"{args.config}: OK")
     return 0
 

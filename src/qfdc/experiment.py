@@ -26,6 +26,7 @@ from .model import (
     DetectorSpec,
     _ClosedForm,
     _Record,
+    _setfield,
     analytic_visibility,  # no driver calls these two; bench/tracer.py patches them here
     expected_rate,
 )
@@ -102,18 +103,27 @@ def fit_through_origin(x: np.ndarray, y: np.ndarray,
     x, y, sigmas = (np.asarray(a, dtype=float) for a in (x, y, sigmas))
     # weights relative to a power of two at or below the smallest sigma: they
     # are at most 4, so squaring cannot overflow (a sigma 2**511 times the
-    # smallest gets weight 0), and the scale cancels exactly in slope and sigma
-    scale = math.ldexp(1.0, math.frexp(float(np.min(sigmas, initial=math.inf)))[1] - 1)
+    # smallest gets weight 0); the abscissae relative to a power of two at or
+    # above the largest |x| are at most 1, so neither can w*x*x. Both scales
+    # are undone exactly in slope and sigma
+    sigma_exp = math.frexp(float(np.min(sigmas, initial=math.inf)))[1] - 1
+    x_exp = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
     with np.errstate(over="ignore"):
-        w = 1.0 / (sigmas / scale) ** 2
+        w = 1.0 / (sigmas / math.ldexp(1.0, sigma_exp)) ** 2
+    x = np.ldexp(x, -x_exp)
     denom = float(np.sum(w * x * x))
     if denom == 0.0:
         return math.nan, math.nan
-    slope = float(np.sum(w * x * y)) / denom
-    return _finite_or_nan(slope), _finite_or_nan(math.sqrt(1.0 / denom) * scale)
+    return (_finite_ldexp(float(np.sum(w * x * y)) / denom, -x_exp),
+            _finite_ldexp(math.sqrt(1.0 / denom), sigma_exp - x_exp))
 
 
-def _finite_or_nan(value: float) -> float:
+def _finite_ldexp(value: float, exp: int) -> float:
+    """``value * 2**exp``, or NaN when that is not finite."""
+    try:
+        value = math.ldexp(value, exp)
+    except OverflowError:
+        return math.nan
     return value if math.isfinite(value) else math.nan
 
 
@@ -132,19 +142,16 @@ class ScanResult(_Record):
     The first column is the abscissa, and the leading columns are the CSV in
     CSV order. ``fit`` holds the scalar fit outputs (a new empty dict by
     default) and ``raw`` the per-point signal-run summaries (fig4a, fig4b,
-    fig5). Unlike the other records, a scan result is mutable and unhashable.
+    fig5).
     """
 
     __slots__ = ("columns", "fit", "raw")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, columns: dict[str, list[float]], fit: dict[str, float] | None = None,
                  raw: list[CountSummary] | None = None) -> None:
-        self.columns = columns
-        self.fit = {} if fit is None else fit
-        self.raw = raw
+        _setfield(self, "columns", columns)
+        _setfield(self, "fit", {} if fit is None else fit)
+        _setfield(self, "raw", raw)
         n = len(self.abscissa)
         if self.raw is not None and len(self.raw) != n:
             raise ValueError(f"raw has {len(self.raw)} entries for {n} points")

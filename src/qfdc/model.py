@@ -43,9 +43,7 @@ class _Record:
     its own ``__init__`` with :data:`_setfield`, then runs its checks. The
     base makes instances immutable, compares and hashes them by their field
     values, writes the repr as ``Name(field=value, ...)``, and copies and
-    pickles them through the constructor. A mutable subclass restores
-    ``object``'s ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to
-    ``None``.
+    pickles them through the constructor.
     """
 
     __slots__ = ()

@@ -1,12 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfdc.calibration import (
+    BOUNDS,
     RESIDUAL_TOLERANCES,
     CalibrationContext,
     CalibrationResult,
     CalibrationTargets,
+    _predict,
     calibrate,
     residuals_within_tolerance,
 )
@@ -122,6 +126,39 @@ class TestCalibrate:
             assert again.fitted()[name] == pytest.approx(value, rel=1e-6)
         for residual in again.residuals.values():
             assert abs(residual) < 1e-12
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+#: In-bounds chain parameters, with the pump power and the two fringe mus
+#: their observables are taken at. The upper ends stay 1% below the bound of
+#: 1: a chain within an ulp of it recovers a value an ulp above, which
+#: ``calibrate`` reports as out of bounds.
+_CHAINS = st.fixed_dictionaries({
+    "system_transmission": _log_uniform(1e-3, 0.99),
+    "noise_coeff_beta": _log_uniform(1e-3, 1e2),
+    "transmission_product": _log_uniform(1e-3, 0.99),
+    "intrinsic_visibility_v0": st.floats(0.05, 0.99),
+    "pump_power_w": _log_uniform(1e-3, 0.1),
+    "mu_fringe": _log_uniform(1e-2, 5.0),  # calibrate needs mu_high > mu_fringe
+    "mu_high": _log_uniform(20.0, 1e3),
+})
+
+
+class TestRoundTripOverTheSpace:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_CHAINS)
+    def test_calibrate_recovers_the_chain_it_predicts(self, values):
+        conditions = {k: values.pop(k) for k in ("pump_power_w", "mu_fringe", "mu_high")}
+        chain = CalibrationResult(**values)
+        context = CalibrationContext()
+        observables = _predict(chain, CalibrationTargets(**conditions), context)
+        again = calibrate(CalibrationTargets(**conditions, **observables), context)
+        assert again.feasible, again.message
+        for name in BOUNDS:
+            assert getattr(again, name) == pytest.approx(getattr(chain, name), rel=1e-8), name
 
 
 class TestInfeasibility:

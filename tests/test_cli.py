@@ -47,6 +47,9 @@ def _fast_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+_COMMANDS = [["validate"], ["calibrate"], ["run", "fig5"]]
+
+
 class TestValidate:
     def test_shipped_config_is_valid(self):
         assert main(["validate", str(REPO_CONFIG)]) == 0
@@ -92,6 +95,21 @@ class TestValidate:
         path.write_text(json.dumps({"chain": {"system_transmission": 0.066}}))
         assert main(["validate", str(path)]) == 1
         assert "chain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=[argv[0] for argv in _COMMANDS])
+    def test_nul_in_a_path_exits_1(self, tmp_path, capsys, argv):
+        config = _fast_config(tmp_path, output_dir="a\0b")
+        assert main(argv + [str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: key 'output_dir' must not contain a NUL character\n"
+
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=[argv[0] for argv in _COMMANDS])
+    def test_a_report_is_not_a_chain_source(self, tmp_path, capsys, argv):
+        # the chain comes from ``chain`` or from the targets; a report's
+        # ``fitted`` block is copied into ``chain`` to run from it
+        config = _fast_config(tmp_path, chain_from_report=str(tmp_path / "calibration.json"))
+        assert main(argv + [str(config)]) == 1
+        assert capsys.readouterr() == ("", "error: unknown key 'chain_from_report'\n")
 
 
 def _set(path: str, value):
@@ -142,33 +160,15 @@ _BAD_APPARATUS = [
     {"signal_wavelength_nm": 5e-324},  # underflows to 0 m
     {"pump_wavelength_nm": 0.0},
 ]
-_COMMANDS = [["validate"], ["calibrate"], ["run", "fig5"]]
 
-_SHIPPED_FITTED = json.loads(REPO_CONFIG.read_text())["chain"]
+_SHIPPED_CHAIN = json.loads(REPO_CONFIG.read_text())["chain"]
 
-
-def _report_text(text: str):
-    """Config override: take the chain from a report holding ``text``,
-    written next to the config."""
-    def apply(config: dict) -> None:
-        path = Path(config["output_dir"]).parent / "report.json"
-        path.write_text(text)
-        del config["chain"]
-        config["chain_from_report"] = str(path)
-    return apply
-
-
-def _report(fitted):
-    """Config override: take the chain from a report whose ``fitted`` block
-    is ``fitted``."""
-    return _report_text(json.dumps({"fitted": fitted}))
-
-
-_BAD_FITTED = {
-    "string": {**_SHIPPED_FITTED, "system_transmission": "0.066"},
-    "boolean": {**_SHIPPED_FITTED, "noise_coeff_beta": True},
-    "unknown-key": {**_SHIPPED_FITTED, "system_transmision": 0.066},
-    "missing-key": {k: v for k, v in _SHIPPED_FITTED.items() if k != "transmission_product"},
+#: Malformed ``chain`` sections.
+_BAD_CHAIN = {
+    "string": {**_SHIPPED_CHAIN, "system_transmission": "0.066"},
+    "boolean": {**_SHIPPED_CHAIN, "noise_coeff_beta": True},
+    "unknown-key": {**_SHIPPED_CHAIN, "system_transmision": 0.066},
+    "missing-key": {k: v for k, v in _SHIPPED_CHAIN.items() if k != "transmission_product"},
     "non-object": [0.066, 0.094, 0.179, 0.947],
 }
 
@@ -199,7 +199,7 @@ class TestNumbersExitOne:
             # no background passes the interferometer: the noise scale underflows
             (_apparatus({"leak_fraction": 1.0, "oob_suppression_db": 4000.0}), ["run", "fig5"]),
         ] + [
-            (_report(fitted), ["run", "fig5"]) for fitted in _BAD_FITTED.values()
+            (_set("chain", chain), ["validate"]) for chain in _BAD_CHAIN.values()
         ] + [
             (_apparatus(values), argv) for values in _BAD_APPARATUS for argv in _COMMANDS
         ],
@@ -210,7 +210,7 @@ class TestNumbersExitOne:
             "targets-boolean", "targets-string", "detector-boolean", "detector-string",
             "chain-nan", "chain-out-of-range", "apparatus-nan",
             "cli-seed-negative", "no-light-fig4a", "noise-scale-underflow",
-        ] + [f"report-fitted-{name}" for name in _BAD_FITTED] + [
+        ] + [f"chain-{name}" for name in _BAD_CHAIN] + [
             f"{key}={value}-{argv[0]}"
             for values in _BAD_APPARATUS for key, value in values.items() for argv in _COMMANDS
         ],
@@ -238,62 +238,6 @@ class TestNumbersExitOne:
             assert main(argv + [str(config)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and repr(key.rsplit(".", 1)[-1]) in err
-
-
-_BAD_REPORTS = {
-    **{name: json.dumps({"fitted": fitted}) for name, fitted in _BAD_FITTED.items()},
-    "not-json": "{not json",
-    "out-of-range": json.dumps({"fitted": {**_SHIPPED_FITTED, "system_transmission": 1.5}}),
-}
-
-
-class TestValidateReport:
-    """``validate`` resolves ``chain_from_report`` as ``run`` does when the file exists."""
-
-    @staticmethod
-    def _config(tmp_path: Path, override) -> Path:
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        override(raw)
-        config.write_text(json.dumps(raw))
-        return config
-
-    def test_valid_report(self, tmp_path, capsys):
-        config = self._config(tmp_path, _report(_SHIPPED_FITTED))
-        assert main(["validate", str(config)]) == 0
-        assert capsys.readouterr() == (f"{config}: OK\n", "")
-
-    @pytest.mark.parametrize("text", _BAD_REPORTS.values(), ids=_BAD_REPORTS)
-    def test_malformed_report_exits_1_with_runs_message(self, tmp_path, capsys, text):
-        config = self._config(tmp_path, _report_text(text))
-        assert main(["validate", str(config)]) == 1
-        validate = capsys.readouterr()
-        assert main(["run", "fig5", str(config)]) == 1
-        assert validate.out == ""
-        assert validate.err == capsys.readouterr().err
-        assert validate.err.startswith("error: ") and "Traceback" not in validate.err
-
-    def test_missing_report_is_a_note_until_calibrate_writes_it(self, tmp_path, capsys):
-        config = self._config(tmp_path, _report(_SHIPPED_FITTED))
-        report = Path(load_config(config).chain_from_report)
-        report.unlink()
-        assert main(["validate", str(config)]) == 0
-        out, err = capsys.readouterr()
-        assert out == f"{config}: OK\n"
-        assert err == f"note: report {str(report)!r} does not exist yet\n"
-        assert main(["calibrate", str(config), "--out", str(report)]) == 0
-        capsys.readouterr()
-        assert main(["validate", str(config)]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(["run", "fig5", str(config), "--out", str(tmp_path / "fig5.csv")]) == 0
-
-    @pytest.mark.parametrize("key", ["output_dir", "chain_from_report"])
-    @pytest.mark.parametrize("argv", _COMMANDS, ids=[argv[0] for argv in _COMMANDS])
-    def test_nul_in_a_path_exits_1(self, tmp_path, capsys, key, argv):
-        config = self._config(tmp_path, _set(key, "a\0b"))
-        assert main(argv + [str(config)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: key {key!r} must not contain a NUL character\n"
 
 
 class TestCalibrateCommand:
@@ -428,6 +372,12 @@ class TestRunCommand:
         assert sorted(f.name for f in control.parent.iterdir()) == ["fig5.csv",
                                                                     "fig5_control.csv"]
 
+    @pytest.mark.parametrize("argv", [["calibrate"], ["run", "fig5"]], ids=["calibrate", "run"])
+    def test_out_creates_missing_directories(self, tmp_path, argv):
+        out = tmp_path / "a" / "b" / "out"
+        assert main(argv + [str(_fast_config(tmp_path)), "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         config = _fast_config(tmp_path)
         raw = json.loads(config.read_text())
@@ -437,16 +387,26 @@ class TestRunCommand:
         assert main(["run", "fig5", str(config)]) == 0
         assert (tmp_path / "envout" / "fig5.csv").exists()
 
-    def test_chain_from_report(self, tmp_path):
+    def test_chain_from_a_report_is_the_calibrated_chain(self, tmp_path, capsys):
+        # a report's ``fitted`` block, copied into ``chain``, runs the chain
+        # that ``run`` calibrates from the targets, bit for bit
         config = _fast_config(tmp_path)
-        report_path = tmp_path / "calibration.json"
-        main(["calibrate", str(config), "--out", str(report_path)])
         raw = json.loads(config.read_text())
         del raw["chain"]
-        raw["chain_from_report"] = str(report_path)
         config.write_text(json.dumps(raw))
-        out = tmp_path / "from_report.csv"
-        assert main(["run", "fig5", str(config), "--out", str(out)]) == 0
+        report = tmp_path / "calibration.json"
+        assert main(["calibrate", str(config), "--out", str(report)]) == 0
+        pinned = tmp_path / "pinned.json"
+        raw["chain"] = json.loads(report.read_text())["fitted"]
+        pinned.write_text(json.dumps(raw))
+        capsys.readouterr()
+        outputs = []
+        for path in (config, pinned):
+            out = tmp_path / f"{path.stem}.csv"
+            assert main(["run", "fig6", str(path), "--out", str(out)]) == 0
+            # the printed fit, without the line that names the CSV
+            outputs.append((out.read_bytes(), capsys.readouterr().out.split("\n", 1)[1]))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("scenario, slope, sigma", [
         ("fig4a", "noise_slope_per_w", "noise_slope_sigma"),
@@ -562,13 +522,6 @@ class TestRunCommand:
         assert rows["fig4b"][0][:5] == ["0.01", "0.0", "0.001", "0.0", "0.001414213562373095"]
         assert [row[1:] for row in rows["fig5"]] == [["0.0", "4000.0"]] * 8
 
-    def test_missing_report_exit_1(self, tmp_path, capsys):
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        del raw["chain"]
-        raw["chain_from_report"] = str(tmp_path / "missing.json")
-        config.write_text(json.dumps(raw))
-        assert main(["run", "fig5", str(config)]) == 1
 
 
 #: argv (``{config}`` is a valid config file) and a phrase of the error message.
@@ -840,7 +793,7 @@ class TestGeneratedConfigs:
         targets=st.one_of(st.just({}), _section(CalibrationTargets)),
         apparatus=st.one_of(st.just({}), _section(CalibrationContext)),
         chain=st.one_of(st.just(_SMALL_CONFIG["chain"]), _CHAIN),
-        source=st.sampled_from(["chain", "chain_from_report", "calibration"]),
+        source=st.sampled_from(["chain", "calibration"]),
     )
     def test_exit_code_without_traceback(self, section, targets, apparatus, chain, source):
         scenario, values = section
@@ -852,9 +805,6 @@ class TestGeneratedConfigs:
             config["chain"] = chain
             if source != "chain":
                 del config["chain"]
-            if source == "chain_from_report":
-                config["chain_from_report"] = str(Path(tmp) / "report.json")
-                Path(config["chain_from_report"]).write_text(json.dumps({"fitted": chain}))
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(config))
             for argv in (["validate", str(path)],

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +365,17 @@ class TestFitHelpers:
         fitted, _ = fit_through_origin(x, slope * x, np.full_like(x, 1e-8))
         assert fitted == pytest.approx(slope, rel=1e-12)
 
+    def test_through_origin_fit_scales_exactly(self):
+        # the abscissae are scaled by powers of two, so scaling them by one
+        # scales the slope and its sigma by exactly its inverse
+        x = np.array([0.3, 1.7, 5.0])
+        y = np.array([1.1, 4.9, 16.0])
+        sigmas = np.array([0.2, 0.3, 0.5])
+        slope, sigma = fit_through_origin(x, y, sigmas)
+        for k in (-1000, -300, 1, 300, 1000):
+            scaled = fit_through_origin(np.ldexp(x, k), y, sigmas)
+            assert scaled == (math.ldexp(slope, -k), math.ldexp(sigma, -k))
+
     def test_through_origin_weighting(self):
         # an outlier with a huge sigma should barely move the slope
         x = np.array([1.0, 2.0, 4.0])
@@ -538,6 +550,21 @@ class TestScenarioDrivers:
     def test_fig6_rejects_an_empty_grid(self, chain):
         with pytest.raises(ValueError, match="mu grid is empty"):
             run_fig6(chain, [], gates_per_point=1000)
+
+    @pytest.mark.parametrize("beta", [None, 1e-200], ids=["calibrated", "faint-noise"])
+    def test_huge_abscissae_fit_without_overflow(self, bare_chain, beta):
+        # w*x*x overflowed once an abscissa passed about 1e154, which read as
+        # a slope of 0 with a sigma of exactly 0; at the calibrated beta every
+        # fig4a background gate clicks at 1e200 W, at beta 1e-200 none does
+        chain = bare_chain if beta is None else bare_chain.replace(
+            converter=bare_chain.converter.replace(noise_coeff_beta=beta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fig4b = run_fig4b(chain, [0.01, 1e300], gates_per_point=1000, seed=3).fit
+            fig4a = run_fig4a(chain, [0.0, 1e200], gates_per_point=1000, seed=3).fit
+        assert fig4b["slope_sigma"] != 0.0 and fig4a["noise_slope_sigma"] != 0.0
+        assert math.isfinite(fig4b["slope"]) and math.isfinite(fig4b["slope_sigma"])
+        assert math.isfinite(fig4a["noise_slope_sigma"]) == (beta is not None)
 
 
 def _expected(probs: list[float], n_cols: int, gates: int) -> tuple[np.ndarray, np.ndarray]:

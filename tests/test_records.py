@@ -70,7 +70,7 @@ CASES = {
     "Fig6": (Fig6, ("mu", "n_phi", "gates_per_point"), None),
     "ScenarioConfig": (ScenarioConfig,
                        ("seed", "output_dir", "targets", "context", "chain_params",
-                        "chain_from_report", "scenarios"),
+                        "scenarios"),
                        None),
     "CountSummary": (lambda: CountSummary(1000, 7, 4e6), ("gates", "clicks", "gate_rate_hz"),
                      {"clicks": 1001}),
@@ -80,9 +80,8 @@ CASES = {
                    {"raw": [CountSummary(10, 2, 4e6)]}),
 }
 
-MUTABLE = {"ScanResult", "ScenarioConfig"}
-#: Frozen, but unhashable: its dict fields cannot be hashed.
-DICT_FIELDS = {"CalibrationResult"}
+#: Frozen, but unhashable: their dict fields cannot be hashed.
+DICT_FIELDS = {"CalibrationResult", "ScanResult", "ScenarioConfig"}
 
 
 @pytest.fixture(params=sorted(CASES))
@@ -105,11 +104,6 @@ def test_assignment_and_deletion(case):
     name, make, fields, _ = case
     record = make()
     value = getattr(record, fields[0])
-    if name in MUTABLE:
-        setattr(record, fields[0], value)
-        delattr(record, fields[0])
-        assert not hasattr(record, fields[0])
-        return
     with pytest.raises(AttributeError, match="cannot assign to field"):
         setattr(record, fields[0], value)
     with pytest.raises(AttributeError, match="cannot delete field"):
@@ -124,11 +118,11 @@ def test_equality_and_hash(case):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
     assert a != object() and a != tuple(getattr(a, f) for f in fields)
-    if name in MUTABLE or name in DICT_FIELDS:
+    if name in DICT_FIELDS:
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
-        # a mutable record is unhashable whatever its fields hold
-        assert (type(a).__hash__ is None) == (name in MUTABLE)
+        # the record is hashable, its fields are not
+        assert type(a).__hash__ is not None
     else:
         assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
 
@@ -189,10 +183,9 @@ def test_defaults_are_new_per_instance():
     assert ScenarioConfig().targets == CalibrationTargets()
 
 
-def test_mutable_records_compare_by_value():
-    a = ScanResult({"mu": [1.0]})
+def test_dict_fields_compare_by_value():
+    a = ScanResult({"mu": [1.0]}, {"slope": 2.0})
     b = ScanResult({"mu": [1.0]})
-    a.fit = {"slope": 2.0}
     assert a != b
     b.fit["slope"] = 2.0
     assert a == b

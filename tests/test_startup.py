@@ -179,14 +179,12 @@ def test_numpy_loads_only_when_arrays_are_computed(tmp_path):
     }
 
 
-@pytest.mark.parametrize("source", ["chain", "chain_from_report"])
+@pytest.mark.parametrize("source", ["chain", "calibration"])
 def test_validate_and_calibrate_load_no_driver(tmp_path, source):
     config = json.loads((ROOT / "configs" / "default.json").read_text())
     config["scenarios"]["fig5"] = {"n_phi": 8, "gates_per_point": 1000}
-    if source == "chain_from_report":
-        report = tmp_path / "report.json"
-        report.write_text(json.dumps({"fitted": config.pop("chain")}))
-        config["chain_from_report"] = str(report)
+    if source == "calibration":  # run calibrates from the targets
+        del config["chain"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     env = dict(os.environ)
