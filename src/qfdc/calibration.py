@@ -123,7 +123,7 @@ class CalibrationContext(_Record):
 
     @property
     def process(self) -> ThreeWaveProcess:
-        """The pump/signal/converted triple; raises for unusable wavelengths."""
+        """The pump and signal process; raises for unusable wavelengths."""
         return derive_process(
             mode_from_wavelength(self.pump_wavelength_nm),
             mode_from_wavelength(self.signal_wavelength_nm),
@@ -137,13 +137,18 @@ class CalibrationContext(_Record):
 
 
 #: Physical range of each fitted parameter; a solution outside it is clipped
-#: and marks the result infeasible.
+#: and marks the result infeasible, unless it is within rounding of the bound.
 BOUNDS: dict[str, tuple[float, float]] = {
     "system_transmission": (0.0, 1.0),
     "noise_coeff_beta": (0.0, math.inf),
     "transmission_product": (0.0, 1.0),
     "intrinsic_visibility_v0": (0.0, 1.0),
 }
+
+#: A solution this close (relative) outside its bound is rounding error and
+#: takes the bound's value: a chain at a bound of 1 comes back up to 6e-13
+#: (about 2,700 ulps) above it from its own predictions.
+_BOUND_ROUNDING = 1e-9
 
 
 class CalibrationResult(_Record):
@@ -309,13 +314,13 @@ def calibrate(
     }
     for name, value in fitted.items():
         lo, hi = BOUNDS[name]
-        if not math.isfinite(_clip(value, lo, hi)):  # NaN, or inf that no bound stops
+        fitted[name] = clipped = _clip(value, lo, hi)
+        if not math.isfinite(clipped):  # NaN, or inf that no bound stops
             fitted[name] = lo
             if not problems:  # only a scale factor that underflows gets here
                 problems.append(f"{name} is undefined: its scale factor underflows")
-        elif not lo <= value <= hi:
+        elif abs(value - clipped) > _BOUND_ROUNDING * clipped:
             problems.append(f"{name} = {value:.6g} violates bounds [{lo:g}, {hi:g}]")
-            fitted[name] = _clip(value, lo, hi)
 
     result = CalibrationResult(
         **fitted,

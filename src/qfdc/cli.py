@@ -245,25 +245,25 @@ SCENARIOS = {"fig4a": Fig4a, "fig4b": Fig4b, "fig5": Fig5, "fig6": Fig6}
 
 
 class ScenarioConfig(_Record):
-    """Validated run description: chain source, scenario settings, seed, output.
+    """Validated run description: chain, scenario settings, seed, output.
 
     ``targets``, ``context`` and ``scenarios`` default to new default
-    instances; ``chain_params``, when given, are the four chain parameters of
-    the config's ``chain`` section.
+    instances; ``chain`` is the chain that the config's ``chain`` section
+    pins, or ``None``, in which case a run calibrates it to the targets.
     """
 
-    __slots__ = ("seed", "output_dir", "targets", "context", "chain_params", "scenarios")
+    __slots__ = ("seed", "output_dir", "targets", "context", "chain", "scenarios")
 
     def __init__(self, seed: int = DEFAULT_SEED, output_dir: str | None = None,
                  targets: CalibrationTargets | None = None,
                  context: CalibrationContext | None = None,
-                 chain_params: dict[str, float] | None = None,
+                 chain: ChainParams | None = None,
                  scenarios: dict | None = None) -> None:
         _setfield(self, "seed", seed)
         _setfield(self, "output_dir", output_dir)
         _setfield(self, "targets", CalibrationTargets() if targets is None else targets)
         _setfield(self, "context", CalibrationContext() if context is None else context)
-        _setfield(self, "chain_params", chain_params)
+        _setfield(self, "chain", chain)
         _setfield(self, "scenarios", {name: spec() for name, spec in SCENARIOS.items()}
                   if scenarios is None else scenarios)
 
@@ -292,39 +292,26 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "")
-    scenarios = _object(raw.get("scenarios", {}), SCENARIOS, "scenarios")
-    cfg = ScenarioConfig(
-        seed=_integer(raw, "seed", DEFAULT_SEED, "", minimum=0),
-        output_dir=_string(raw, "output_dir"),
-        targets=_section(CalibrationTargets, raw.get("targets", {}), "targets"),
-        context=_section(CalibrationContext, raw.get("apparatus", {}), "apparatus"),
-        scenarios={name: _section(spec, scenarios.get(name, {}), f"scenarios.{name}")
-                   for name, spec in SCENARIOS.items()},
-        chain_params=_chain_values(raw["chain"], "chain") if "chain" in raw else None,
-    )
-    if cfg.chain_params is not None:
-        _assemble_chain(cfg.chain_params, cfg)  # bounds only
-    return cfg
-
-
-def _chain_from_config(cfg: ScenarioConfig) -> ChainParams:
-    """The runnable chain: the explicit ``chain``, else a calibration to the targets."""
-    if cfg.chain_params is not None:
-        return _assemble_chain(cfg.chain_params, cfg)
-    result = calibrate(cfg.targets, cfg.context)
-    if not result.feasible:
-        raise ConfigError(
-            f"calibration from the configured targets is infeasible: {result.message}"
-        )
-    return _assemble_chain(result.fitted(), cfg)
-
-
-def _assemble_chain(fitted: dict[str, float], cfg: ScenarioConfig) -> ChainParams:
-    """The runnable chain for four chain parameters; out-of-range values exit 1."""
-    try:
-        return calibrated_chain(CalibrationResult(**fitted), cfg.targets, cfg.context)
-    except ValueError as exc:
-        raise ConfigError(f"invalid chain parameters: {exc}") from exc
+    seed = _integer(raw, "seed", DEFAULT_SEED, "", minimum=0)
+    output_dir = _string(raw, "output_dir")
+    section = _object(raw.get("scenarios", {}), SCENARIOS, "scenarios")
+    targets = _section(CalibrationTargets, raw.get("targets", {}), "targets")
+    context = _section(CalibrationContext, raw.get("apparatus", {}), "apparatus")
+    scenarios = {name: _section(spec, section.get(name, {}), f"scenarios.{name}")
+                 for name, spec in SCENARIOS.items()}
+    # the converter takes sin(sqrt(eta_nor * P)) at every pump power a run uses
+    for key, power_w in (("targets.pump_power_w", targets.pump_power_w),
+                         ("scenarios.fig4a.power_mw", max(scenarios["fig4a"].power_mw) * 1e-3)):
+        if not math.isfinite(context.eta_nor_per_w * power_w):
+            raise ConfigError(f"keys 'apparatus.eta_nor_per_w' and {key!r}: product overflows")
+    chain = None
+    if "chain" in raw:
+        try:
+            chain = calibrated_chain(CalibrationResult(**_chain_values(raw["chain"], "chain")),
+                                     targets, context)
+        except ValueError as exc:
+            raise ConfigError(f"invalid chain parameters: {exc}") from exc
+    return ScenarioConfig(seed, output_dir, targets, context, chain, scenarios)
 
 
 def _output_path(cfg: ScenarioConfig, out_arg: str | None, default_name: str) -> Path:
@@ -351,7 +338,13 @@ def run_scenario(
         if not hasattr(spec, "control"):
             raise ConfigError(f"--no-interferometer has no meaning for {scenario}")
         spec = spec.replace(control=True)
-    chain = _chain_from_config(cfg)
+    chain = cfg.chain
+    if chain is None:  # no ``chain`` section: calibrate to the targets
+        result = calibrate(cfg.targets, cfg.context)
+        if not result.feasible:
+            raise ConfigError("calibration from the configured targets is infeasible: "
+                              + result.message)
+        chain = calibrated_chain(result, cfg.targets, cfg.context)
     module = sys.modules[__name__]
     for name in _DRIVERS:  # binds each driver as a global for ``spec.run``
         getattr(module, name)

@@ -36,14 +36,13 @@ _MASK32 = 0xFFFFFFFF
 
 
 class CountSummary(_Record):
-    """Aggregated click statistics for a block of gates."""
+    """Aggregated click statistics for a block of gates, at the detector's gate rate."""
 
-    __slots__ = ("gates", "clicks", "gate_rate_hz")
+    __slots__ = ("gates", "clicks")
 
-    def __init__(self, gates: int, clicks: int, gate_rate_hz: float) -> None:
+    def __init__(self, gates: int, clicks: int) -> None:
         _setfield(self, "gates", gates)
         _setfield(self, "clicks", clicks)
-        _setfield(self, "gate_rate_hz", gate_rate_hz)
         if self.gates < 1 or self.clicks < 0 or self.clicks > self.gates:
             raise ValueError(
                 f"need 0 <= clicks <= gates and gates >= 1, got {self.clicks}/{self.gates}"
@@ -60,10 +59,6 @@ class CountSummary(_Record):
         so no run, not even one without clicks, reads as exact."""
         p = self.p_click
         return max(math.sqrt(p * (1.0 - p) / self.gates), 1.0 / self.gates)
-
-    @property
-    def rate_per_s(self) -> float:
-        return self.p_click * self.gate_rate_hz
 
 
 def sample_scan(p, n_gates: int, seeds) -> list[int]:

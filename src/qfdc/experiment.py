@@ -187,9 +187,9 @@ def _sigma(p: np.ndarray, n_gates: int) -> np.ndarray:
     return np.maximum(np.sqrt(p * (1.0 - p) / n), 1.0 / n)
 
 
-def _records(clicks: list[int], n_gates: int, spec: DetectorSpec) -> list[CountSummary]:
+def _records(clicks: list[int], n_gates: int) -> list[CountSummary]:
     """The click record of each count, for a driver's ``raw``."""
-    return [CountSummary(int(n_gates), c, spec.gate_rate_hz) for c in clicks]
+    return [CountSummary(int(n_gates), c) for c in clicks]
 
 
 # --- scenario drivers ------------------------------------------------------
@@ -232,7 +232,7 @@ def run_fig4a(
     clicks, p, sigma = _draw(probs, gates_per_point, seeds, 2)
     columns, fit = _estimate_fig4a(powers, eff_denom, noise_denom, det.dark_prob_per_gate,
                                    p, sigma)
-    return ScanResult(columns=columns, fit=fit, raw=_records(clicks[0::2], gates_per_point, det))
+    return ScanResult(columns=columns, fit=fit, raw=_records(clicks[0::2], gates_per_point))
 
 
 def _estimate_fig4a(powers: list[float], eff_denom: float, noise_denom: float, dark: float,
@@ -287,8 +287,7 @@ def run_fig4b(
     seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2))
     clicks, p, sigma = _draw(probs, gates_per_point, seeds, 2)
     columns, fit = _estimate_fig4b(mus, p, sigma)
-    return ScanResult(columns=columns, fit=fit,
-                      raw=_records(clicks[0::2], gates_per_point, params.detector))
+    return ScanResult(columns=columns, fit=fit, raw=_records(clicks[0::2], gates_per_point))
 
 
 def _estimate_fig4b(mus: list[float], p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
@@ -352,8 +351,7 @@ def run_fig5(
     clicks, p, sigma = _draw(probs, gates_per_point, seeds, n_phi)
     columns, fit = _estimate_fig5(phis, params.detector, p, sigma)
     fit["control"] = 1.0 if control else 0.0
-    return ScanResult(columns=columns, fit=fit,
-                      raw=_records(clicks, gates_per_point, params.detector))
+    return ScanResult(columns=columns, fit=fit, raw=_records(clicks, gates_per_point))
 
 
 def _estimate_fig5(phis: np.ndarray, detector: DetectorSpec, p: np.ndarray,

@@ -335,7 +335,7 @@ def sample_gates(
     defines the draws.
     """
     p = click_probability(mean_photons_at_detector, spec)
-    return CountSummary(int(n_gates), sample_scan([p], n_gates, [seed])[0], spec.gate_rate_hz)
+    return CountSummary(int(n_gates), sample_scan([p], n_gates, [seed])[0])
 
 
 def simulate_point(
@@ -350,6 +350,4 @@ def dark_subtract(signal: CountSummary, background: CountSummary) -> tuple[float
     """Subtract a background run from a signal run: the corrected click
     probability and its sigma. The probability may come out negative when
     the background fluctuates above the signal run; it is reported as-is."""
-    if not math.isclose(signal.gate_rate_hz, background.gate_rate_hz, rel_tol=1e-12):
-        raise ValueError("signal and background summaries must share a gate rate")
     return signal.p_click - background.p_click, math.hypot(signal.sigma_p, background.sigma_p)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfdc.calibration import (
@@ -133,14 +133,12 @@ def _log_uniform(lo: float, hi: float):
 
 
 #: In-bounds chain parameters, with the pump power and the two fringe mus
-#: their observables are taken at. The upper ends stay 1% below the bound of
-#: 1: a chain within an ulp of it recovers a value an ulp above, which
-#: ``calibrate`` reports as out of bounds.
+#: their observables are taken at. The upper ends are the bound of 1 itself.
 _CHAINS = st.fixed_dictionaries({
-    "system_transmission": _log_uniform(1e-3, 0.99),
+    "system_transmission": _log_uniform(1e-3, 1.0),
     "noise_coeff_beta": _log_uniform(1e-3, 1e2),
-    "transmission_product": _log_uniform(1e-3, 0.99),
-    "intrinsic_visibility_v0": st.floats(0.05, 0.99),
+    "transmission_product": _log_uniform(1e-3, 1.0),
+    "intrinsic_visibility_v0": st.floats(0.05, 1.0),
     "pump_power_w": _log_uniform(1e-3, 0.1),
     "mu_fringe": _log_uniform(1e-2, 5.0),  # calibrate needs mu_high > mu_fringe
     "mu_high": _log_uniform(20.0, 1e3),
@@ -150,6 +148,9 @@ _CHAINS = st.fixed_dictionaries({
 class TestRoundTripOverTheSpace:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_CHAINS)
+    @example({"system_transmission": 1.0, "noise_coeff_beta": 1e2, "transmission_product": 1.0,
+              "intrinsic_visibility_v0": 1.0, "pump_power_w": 0.1, "mu_fringe": 5.0,
+              "mu_high": 20.0})
     def test_calibrate_recovers_the_chain_it_predicts(self, values):
         conditions = {k: values.pop(k) for k in ("pump_power_w", "mu_fringe", "mu_high")}
         chain = CalibrationResult(**values)
@@ -214,6 +215,34 @@ class TestInfeasibility:
         assert result.system_transmission == 1.0
         assert result.feasible
         assert result.message == ""
+
+    @pytest.mark.parametrize("name, value", [
+        ("transmission_product", math.nextafter(1.0, 0.0)),
+        ("intrinsic_visibility_v0", 1.0),
+    ])
+    def test_chain_at_its_upper_bound_calibrates_back(self, calibration, targets, name, value):
+        # the solve rounds the value a few ulps above 1; that is the bound
+        chain = calibration.replace(**{name: value})
+        again = calibrate(targets.replace(**_predict(chain, targets, CalibrationContext())))
+        assert again.feasible, again.message
+        assert getattr(again, name) == pytest.approx(value, rel=1e-15)
+
+    @pytest.mark.parametrize("name, target, sign", [
+        ("transmission_product", "conversion_efficiency", -1.0),  # the product is 1/target
+        ("intrinsic_visibility_v0", "visibility_high_mu", 1.0),
+    ])
+    @pytest.mark.parametrize("excess, feasible", [(5e-10, True), (2e-9, False)])
+    def test_solution_past_its_bound(self, calibration, targets, name, target, sign, excess,
+                                     feasible):
+        # from a chain at the bound, each target moves its parameter about
+        # ``excess`` (relative) above 1: rounding up to 1e-9, a violation past it
+        at_bound = targets.replace(
+            **_predict(calibration.replace(**{name: 1.0}), targets, CalibrationContext()))
+        result = calibrate(at_bound.replace(**{target: getattr(at_bound, target)
+                                               * (1.0 + sign * excess)}))
+        assert result.feasible is feasible
+        assert getattr(result, name) == 1.0
+        assert (f"{name} = 1 violates bounds [0, 1]" in result.message) is not feasible
 
     def test_negative_zero_signal_reports_positive_zero(self):
         # a subnormal dark rate: D underflows to 0, so S = -2*dark/(k - 1)

@@ -240,6 +240,40 @@ class TestNumbersExitOne:
             assert err.startswith("error:") and repr(key.rsplit(".", 1)[-1]) in err
 
 
+#: ``eta_nor_per_w * P`` past the float range, where the conversion
+#: probability sin^2(sqrt(eta_nor * P)) has no value: at the targets' pump
+#: power, and at a fig4a power.
+_OVERFLOW_TARGETS = (_apparatus({"eta_nor_per_w": 1e300}), _set("targets.pump_power_w", 1e10))
+_OVERFLOW_FIG4A = (_set("apparatus.eta_nor_per_w", 1e300),
+                   _set("scenarios.fig4a.power_mw", [0.0, 1e12]))
+
+
+class TestMixingProductOverflow:
+    @pytest.mark.parametrize("overrides, argv, key", [
+        (_OVERFLOW_TARGETS, ["validate"], "targets.pump_power_w"),
+        (_OVERFLOW_TARGETS, ["calibrate"], "targets.pump_power_w"),
+        (_OVERFLOW_TARGETS, ["run", "fig6"], "targets.pump_power_w"),
+        (_OVERFLOW_FIG4A, ["run", "fig4a"], "scenarios.fig4a.power_mw"),
+    ])
+    def test_exit_1_names_both_keys(self, tmp_path, capsys, overrides, argv, key):
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        for override in overrides:
+            override(raw)
+        config.write_text(json.dumps(raw))
+        assert main(argv + [str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: keys 'apparatus.eta_nor_per_w' and {key!r}: product overflows\n")
+
+    def test_largest_finite_product_is_accepted(self, tmp_path):
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        _set("apparatus.eta_nor_per_w", 1e300)(raw)
+        _set("scenarios.fig4a.power_mw", [0.0, 1e11])(raw)  # 1e300 * 1e8 W
+        config.write_text(json.dumps(raw))
+        assert main(["validate", str(config)]) == 0
+
+
 class TestCalibrateCommand:
     def test_default_targets_report(self, tmp_path):
         config = _fast_config(tmp_path)
@@ -643,7 +677,7 @@ class TestConfigLoading:
         cfg = load_config(path)
         assert cfg.seed == 20260810
         assert cfg.scenarios["fig5"].mu == 0.7
-        assert cfg.chain_params is None
+        assert cfg.chain is None
 
     def test_shipped_scenarios_are_the_defaults(self, tmp_path):
         path = tmp_path / "minimal.json"
@@ -669,9 +703,13 @@ class TestConfigLoading:
         cfg = load_config(REPO_CONFIG)
         from qfdc.calibration import calibrate
 
-        fitted = calibrate(cfg.targets, cfg.context).fitted()
-        for name, value in cfg.chain_params.items():
-            assert value == pytest.approx(fitted[name], rel=1e-12)
+        fitted = calibrate(cfg.targets, cfg.context)
+        chain = cfg.chain
+        for value, name in [(chain.converter.system_transmission, "system_transmission"),
+                            (chain.converter.noise_coeff_beta, "noise_coeff_beta"),
+                            (chain.post_converter_transmission, "transmission_product"),
+                            (chain.intrinsic_visibility_v0, "intrinsic_visibility_v0")]:
+            assert value == pytest.approx(getattr(fitted, name), rel=1e-12)
 
     def test_rejects_non_object(self, tmp_path):
         path = tmp_path / "arr.json"
@@ -795,6 +833,11 @@ class TestGeneratedConfigs:
         chain=st.one_of(st.just(_SMALL_CONFIG["chain"]), _CHAIN),
         source=st.sampled_from(["chain", "calibration"]),
     )
+    @example(section=("fig6", {}), targets={"pump_power_w": 1e10},
+             apparatus={"eta_nor_per_w": 1e300}, chain=_SMALL_CONFIG["chain"],
+             source="calibration")
+    @example(section=("fig4a", {"power_mw": [0.0, 1e12]}), targets={},
+             apparatus={"eta_nor_per_w": 1e300}, chain=_SMALL_CONFIG["chain"], source="chain")
     def test_exit_code_without_traceback(self, section, targets, apparatus, chain, source):
         scenario, values = section
         config = json.loads(json.dumps(_SMALL_CONFIG))

@@ -125,7 +125,6 @@ class TestSampleGates:
     def test_summary_invariants(self):
         summary = sample_gates(1e-3, DETECTOR, 2_500_000, seed=5)
         assert summary.gates == 2_500_000
-        assert summary.rate_per_s == pytest.approx(summary.p_click * 4e6, rel=1e-12)
         assert summary.sigma_p == pytest.approx(
             math.sqrt(summary.p_click * (1 - summary.p_click) / summary.gates), rel=1e-12
         )
@@ -135,7 +134,7 @@ class TestSampleGates:
         # the binomial sigma falls below one click in its gates only at
         # 0, 1, n-1 or n clicks of n; the floor takes over there alone
         for clicks in range(gates + 1):
-            summary = CountSummary(gates, clicks, 4e6)
+            summary = CountSummary(gates, clicks)
             p = clicks / gates
             binomial = math.sqrt(p * (1.0 - p) / gates)
             assert summary.sigma_p == max(binomial, 1.0 / gates)
@@ -237,30 +236,24 @@ class TestDarkSubtract:
         assert sigma == pytest.approx(math.sqrt(2) * s.sigma_p, rel=1e-12)
 
     def test_quoted_floor_arithmetic(self):
-        sig = CountSummary(10_000_000, 700, 4e6)   # p = 7e-5
-        bg = CountSummary(10_000_000, 260, 4e6)    # p = 2.6e-5
+        sig = CountSummary(10_000_000, 700)   # p = 7e-5
+        bg = CountSummary(10_000_000, 260)    # p = 2.6e-5
         p, _ = dark_subtract(sig, bg)
         assert p == pytest.approx(4.4e-5, rel=1e-12)
 
     def test_zero_background_identity(self):
         # a background run without clicks is not exact: it adds one count
-        sig = CountSummary(1_000_000, 123, 4e6)
-        bg = CountSummary(1_000_000, 0, 4e6)
+        sig = CountSummary(1_000_000, 123)
+        bg = CountSummary(1_000_000, 0)
         p, sigma = dark_subtract(sig, bg)
         assert p == sig.p_click
         assert sigma == math.hypot(sig.sigma_p, 1.0 / bg.gates)
 
     def test_negative_flagged(self):
-        sig = CountSummary(1_000_000, 10, 4e6)
-        bg = CountSummary(1_000_000, 20, 4e6)
+        sig = CountSummary(1_000_000, 10)
+        bg = CountSummary(1_000_000, 20)
         p, _ = dark_subtract(sig, bg)
         assert p < 0.0
-
-    def test_rejects_mismatched_rates(self):
-        sig = CountSummary(1_000_000, 10, 4e6)
-        bg = CountSummary(1_000_000, 10, 1e6)
-        with pytest.raises(ValueError):
-            dark_subtract(sig, bg)
 
 
 class TestSpecValidation:
@@ -280,7 +273,7 @@ class TestSpecValidation:
     def test_count_summary_rejects_inconsistency(self):
         for gates, clicks in [(10, 11), (10, -1), (0, 0)]:
             with pytest.raises(ValueError):
-                CountSummary(gates=gates, clicks=clicks, gate_rate_hz=4e6)
+                CountSummary(gates=gates, clicks=clicks)
 
 
 class TestDeriveSeed:

@@ -340,7 +340,7 @@ class TestFitHelpers:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("qfdc.experiment.sample_scan", lambda p, gates, seeds: clicks)
             drawn, p, sigma = _draw([0.5] * n, gates, np.zeros((1, n), dtype=np.uint64), n)
-        summaries = [CountSummary(gates, c, 4e6) for c in clicks]
+        summaries = [CountSummary(gates, c) for c in clicks]
         assert drawn == clicks
         assert [v.hex() for v in p[0].tolist()] == [s.p_click.hex() for s in summaries]
         assert [v.hex() for v in sigma[0].tolist()] == [s.sigma_p.hex() for s in summaries]
@@ -706,8 +706,9 @@ class TestScansMatchPointByPoint:
             for i, phi in enumerate(phis)
         ]
         assert scan.raw == raw
-        assert scan.columns["rate_per_s"] == [s.rate_per_s for s in raw]
-        assert scan.columns["rate_sigma"] == [s.sigma_p * s.gate_rate_hz for s in raw]
+        rate_hz = chain.detector.gate_rate_hz
+        assert scan.columns["rate_per_s"] == [s.p_click * rate_hz for s in raw]
+        assert scan.columns["rate_sigma"] == [s.sigma_p * rate_hz for s in raw]
         fit, = fit_cosine(phis, [[s.p_click for s in raw]], [[s.sigma_p for s in raw]])
         assert (scan.fit["c0"], scan.fit["c1"], scan.fit["visibility"]) == (
             fit[0], fit[1], _visibilities(fit, chain.detector.dark_prob_per_gate)[0]

@@ -9,7 +9,6 @@ from qfdc.model import (
     ConverterSpec,
     InterferometerSpec,
     ProcessKind,
-    ThreeWaveProcess,
     background_photons,
     conversion_efficiency,
     derive_process,
@@ -62,8 +61,16 @@ class TestDeriveProcess:
         )
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            derive_process(SIGNAL, SIGNAL)
+        # frequencies within 1e-12 relative of each other have no converted mode
+        for signal in (SIGNAL, mode_from_wavelength(712.9 * (1 + 1e-13))):
+            with pytest.raises(ValueError, match="must be distinct"):
+                derive_process(SIGNAL, signal)
+
+    def test_converted_mode_beyond_the_float_range_rejected(self):
+        # distinct modes whose difference frequency is too small for a
+        # finite wavelength
+        with pytest.raises(ValueError, match="wavelength_nm must be finite"):
+            derive_process(mode_from_wavelength(1e308), mode_from_wavelength(0.99999999999e308))
 
     def test_energy_conservation_random_pairs(self):
         rng = np.random.default_rng(7)
@@ -79,28 +86,6 @@ class TestDeriveProcess:
             assert again.converted.wavelength_nm == p.converted.wavelength_nm
 
 
-class TestThreeWaveProcess:
-    # with the 1551.1 nm mode, these two wavelengths miss energy conservation
-    # by exactly its tolerance, 1e-9 of the highest frequency of the three
-    LOW_NM, HIGH_NM, CONVERTED_NM = 1551.1, 712.9000367525003, 1319.2308440056986
-
-    def test_residual_equal_to_the_tolerance_is_accepted(self):
-        low, high, converted = map(
-            mode_from_wavelength, (self.LOW_NM, self.HIGH_NM, self.CONVERTED_NM))
-        w_low, w_high = low.angular_frequency, high.angular_frequency
-        assert abs(w_low + converted.angular_frequency - w_high) == 1e-9 * w_high
-        ThreeWaveProcess(low, high, converted, ProcessKind.BEAMSPLITTER)
-        ThreeWaveProcess(high, low, converted, ProcessKind.AMPLIFIER)
-
-    @pytest.mark.parametrize("kind", list(ProcessKind))
-    def test_equal_pump_and_signal_rejected(self, kind):
-        # a converted frequency of 1.9e6 rad/s, within the tolerance of zero,
-        # conserves energy; only the frequency order rejects the triple
-        mode = mode_from_wavelength(712.9)
-        with pytest.raises(ValueError, match="above"):
-            ThreeWaveProcess(mode, mode, mode_from_wavelength(1e12), kind)
-
-
 class TestSpdcLeakSafe:
     def test_reference_configuration_safe(self):
         assert spdc_leak_safe(reference_process()) is True
@@ -112,15 +97,12 @@ class TestSpdcLeakSafe:
         assert spdc_leak_safe(process) is False
 
     def test_boundary_equal_frequencies_unsafe(self):
-        # omega_s = 2*omega_p puts the converted photon exactly at the pump
-        pump = mode_from_wavelength(1400.0)
-        signal = mode_from_wavelength(700.0)
-        process = derive_process(pump, signal)
+        # omega_s = 2*omega_p puts the converted photon at the pump; this pair
+        # rounds its converted frequency onto the pump's bit for bit, so it
+        # sits exactly on the strict boundary
+        process = derive_process(mode_from_wavelength(800.1), mode_from_wavelength(400.05))
+        assert process.converted.angular_frequency == process.pump.angular_frequency
         assert spdc_leak_safe(process) is False
-        # derive_process rounds the converted frequency 0.25 rad/s below the
-        # pump's; the pump's own mode as the converted one is the exact boundary
-        exact = ThreeWaveProcess(pump, signal, pump, ProcessKind.BEAMSPLITTER)
-        assert spdc_leak_safe(exact) is False
 
     def test_rejects_amplifier(self):
         process = derive_process(pump=SIGNAL, signal=PUMP)
@@ -133,6 +115,16 @@ class TestConverterSpec:
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_bounds_are_closed(self, name, value):
         assert getattr(reference_spec(**{name: value}), name) == value
+
+    @pytest.mark.parametrize("eta, power", [(1e300, 1e10), (2.0, 1e308)])
+    def test_overflowing_mixing_product_rejected(self, eta, power):
+        # sin(sqrt(eta_nor * P)) has no value once the product is inf
+        with pytest.raises(ValueError, match=r"eta_nor_per_w \* pump_power_w overflows"):
+            reference_spec(eta_nor_per_w=eta, pump_power_w=power)
+
+    def test_largest_finite_mixing_product_accepted(self):
+        spec = reference_spec(eta_nor_per_w=1e300, pump_power_w=1e8)
+        assert 0.0 <= spec.internal_conversion_probability <= 1.0
 
 
 class TestConversionEfficiency:

@@ -21,7 +21,6 @@ from qfdc.model import (
     DetectorSpec,
     InterferometerSpec,
     OpticalMode,
-    ProcessKind,
     ThreeWaveProcess,
     derive_process,
     mode_from_wavelength,
@@ -36,8 +35,7 @@ def _process() -> ThreeWaveProcess:
 #: checks reject (``None`` for a class without checks).
 CASES = {
     "OpticalMode": (lambda: OpticalMode(712.9), ("wavelength_nm",), {"wavelength_nm": -1.0}),
-    "ThreeWaveProcess": (_process, ("pump", "signal", "converted", "kind"),
-                         {"kind": ProcessKind.AMPLIFIER}),
+    "ThreeWaveProcess": (_process, ("pump", "signal"), {"signal": mode_from_wavelength(1551.1)}),
     "ConverterSpec": (lambda: ConverterSpec(_process(), 2.0, 0.027, 0.5, 1e-3),
                       ("process", "eta_nor_per_w", "pump_power_w", "system_transmission",
                        "noise_coeff_beta", "leak_fraction"),
@@ -69,15 +67,13 @@ CASES = {
     "Fig5": (Fig5, ("mu", "n_phi", "gates_per_point", "control"), None),
     "Fig6": (Fig6, ("mu", "n_phi", "gates_per_point"), None),
     "ScenarioConfig": (ScenarioConfig,
-                       ("seed", "output_dir", "targets", "context", "chain_params",
-                        "scenarios"),
+                       ("seed", "output_dir", "targets", "context", "chain", "scenarios"),
                        None),
-    "CountSummary": (lambda: CountSummary(1000, 7, 4e6), ("gates", "clicks", "gate_rate_hz"),
-                     {"clicks": 1001}),
+    "CountSummary": (lambda: CountSummary(1000, 7), ("gates", "clicks"), {"clicks": 1001}),
     "ScanResult": (lambda: ScanResult({"mu": [0.1, 0.7], "p": [0.2, 0.3]}, {"slope": 1.0},
-                                      [CountSummary(10, 2, 4e6), CountSummary(10, 3, 4e6)]),
+                                      [CountSummary(10, 2), CountSummary(10, 3)]),
                    ("columns", "fit", "raw"),
-                   {"raw": [CountSummary(10, 2, 4e6)]}),
+                   {"raw": [CountSummary(10, 2)]}),
 }
 
 #: Frozen, but unhashable: their dict fields cannot be hashed.
@@ -164,12 +160,12 @@ def test_replace_changes_only_the_named_field():
 
 
 def test_copies_and_pickles_go_through_the_constructor():
-    record = CountSummary(1000, 7, 4e6)
-    assert record.__reduce__() == (CountSummary, (1000, 7, 4e6))
+    record = CountSummary(1000, 7)
+    assert record.__reduce__() == (CountSummary, (1000, 7))
 
     class Forged:
         def __reduce__(self):
-            return CountSummary, (1000, 1001, 4e6)
+            return CountSummary, (1000, 1001)
 
     with pytest.raises(ValueError, match="clicks <= gates"):
         pickle.loads(pickle.dumps(Forged()))
@@ -195,7 +191,6 @@ def test_a_subclass_keeps_the_fields_and_is_not_equal_to_its_base():
     class Counted(CountSummary):
         pass
 
-    assert Counted(10, 2, 4e6) == Counted(10, 2, 4e6) != Counted(10, 3, 4e6)
-    assert Counted(10, 2, 4e6) != CountSummary(10, 2, 4e6)
-    assert repr(Counted(10, 2, 4e6)).endswith(
-        ".Counted(gates=10, clicks=2, gate_rate_hz=4000000.0)")
+    assert Counted(10, 2) == Counted(10, 2) != Counted(10, 3)
+    assert Counted(10, 2) != CountSummary(10, 2)
+    assert repr(Counted(10, 2)).endswith(".Counted(gates=10, clicks=2)")
