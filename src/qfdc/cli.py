@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 model infeasibility.
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 import math
 import os
@@ -104,13 +105,6 @@ def _grid(section: dict, key: str, default, path: str, **bounds) -> tuple[float,
     return tuple(float(_number({key: v}, key, None, path, **bounds)) for v in values)
 
 
-def _boolean(section: dict, key: str, default, path: str) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"key {path}{key!r} must be a boolean")
-    return value
-
-
 def _string(section: dict, key: str) -> str | None:
     value = section.get(key)
     if value is not None and not isinstance(value, str):
@@ -128,7 +122,7 @@ def _object(value, allowed, path: str) -> dict:
 
 
 #: Parser per type of a field's default value.
-_FIELD_PARSERS = {float: _number, int: _integer, tuple: _grid, bool: _boolean}
+_FIELD_PARSERS = {float: _number, int: _integer, tuple: _grid}
 _NON_NEGATIVE = {"minimum": 0.0}
 _GATES = {"minimum": 1, "maximum": 10**12}  # 1e12 gates: about 2 s of sampling per point
 _N_PHI = {"minimum": 4, "maximum": 1024}
@@ -204,21 +198,21 @@ class Fig4b(_Record):
 
 
 class Fig5(_Record):
-    """Fringe scan over the phase-modulation depth (``control``: no interferometer)."""
+    """Fringe scan over the phase-modulation depth; on a chain without the
+    interferometer it is the control run."""
 
-    __slots__ = ("mu", "n_phi", "gates_per_point", "control")
+    __slots__ = ("mu", "n_phi", "gates_per_point")
     key_bounds = {"mu": _NON_NEGATIVE, "n_phi": _N_PHI, "gates_per_point": _GATES}
 
     def __init__(self, mu: float = 0.7, n_phi: int = DEFAULT_N_PHI,
-                 gates_per_point: int = DEFAULT_GATES_PER_POINT, control: bool = False) -> None:
+                 gates_per_point: int = DEFAULT_GATES_PER_POINT) -> None:
         _setfield(self, "mu", mu)
         _setfield(self, "n_phi", n_phi)
         _setfield(self, "gates_per_point", gates_per_point)
-        _setfield(self, "control", control)
 
     def run(self, chain: ChainParams, seed: int) -> ScanResult:
         return run_fig5(chain, self.mu, n_phi=self.n_phi,
-                        gates_per_point=self.gates_per_point, seed=seed, control=self.control)
+                        gates_per_point=self.gates_per_point, seed=seed)
 
 
 class Fig6(_Record):
@@ -299,16 +293,20 @@ def load_config(path: str | Path) -> ScenarioConfig:
     context = _section(CalibrationContext, raw.get("apparatus", {}), "apparatus")
     scenarios = {name: _section(spec, section.get(name, {}), f"scenarios.{name}")
                  for name, spec in SCENARIOS.items()}
-    # the converter takes sin(sqrt(eta_nor * P)) at every pump power a run uses
-    for key, power_w in (("targets.pump_power_w", targets.pump_power_w),
-                         ("scenarios.fig4a.power_mw", max(scenarios["fig4a"].power_mw) * 1e-3)):
-        if not math.isfinite(context.eta_nor_per_w * power_w):
-            raise ConfigError(f"keys 'apparatus.eta_nor_per_w' and {key!r}: product overflows")
+    pinned = _chain_values(raw["chain"], "chain") if "chain" in raw else {}
+    # the converter takes sin(sqrt(eta_nor * P)), and a pinned chain beta * P,
+    # at every pump power a run uses
+    coefficients = {"apparatus.eta_nor_per_w": context.eta_nor_per_w,
+                    "chain.noise_coeff_beta": pinned.get("noise_coeff_beta", 0.0)}
+    for (name, coefficient), (key, power_w) in itertools.product(coefficients.items(), (
+            ("targets.pump_power_w", targets.pump_power_w),
+            ("scenarios.fig4a.power_mw", max(scenarios["fig4a"].power_mw) * 1e-3))):
+        if not math.isfinite(coefficient * power_w):
+            raise ConfigError(f"keys {name!r} and {key!r}: product overflows")
     chain = None
-    if "chain" in raw:
+    if pinned:
         try:
-            chain = calibrated_chain(CalibrationResult(**_chain_values(raw["chain"], "chain")),
-                                     targets, context)
+            chain = calibrated_chain(CalibrationResult(**pinned), targets, context)
         except ValueError as exc:
             raise ConfigError(f"invalid chain parameters: {exc}") from exc
     return ScenarioConfig(seed, output_dir, targets, context, chain, scenarios)
@@ -333,11 +331,8 @@ def _write_csv(path: Path, header: list[str], scan: ScanResult) -> None:
 def run_scenario(
     scenario: str, cfg: ScenarioConfig, seed: int, control_override: bool = False
 ) -> ScanResult:
-    spec = cfg.scenarios[scenario]
-    if control_override:
-        if not hasattr(spec, "control"):
-            raise ConfigError(f"--no-interferometer has no meaning for {scenario}")
-        spec = spec.replace(control=True)
+    if control_override and scenario != "fig5":
+        raise ConfigError(f"--no-interferometer has no meaning for {scenario}")
     chain = cfg.chain
     if chain is None:  # no ``chain`` section: calibrate to the targets
         result = calibrate(cfg.targets, cfg.context)
@@ -345,11 +340,13 @@ def run_scenario(
             raise ConfigError("calibration from the configured targets is infeasible: "
                               + result.message)
         chain = calibrated_chain(result, cfg.targets, cfg.context)
+    if control_override:  # the fig5 control run
+        chain = chain.without_interferometer()
     module = sys.modules[__name__]
-    for name in _DRIVERS:  # binds each driver as a global for ``spec.run``
+    for name in _DRIVERS:  # binds each driver as a global for the scenario's ``run``
         getattr(module, name)
     try:
-        return spec.run(chain, seed)
+        return cfg.scenarios[scenario].run(chain, seed)
     except ValueError as exc:  # a driver rejecting settings it cannot run
         raise ConfigError(f"cannot run {scenario}: {exc}") from exc
 

@@ -36,7 +36,7 @@ _MASK32 = 0xFFFFFFFF
 
 
 class CountSummary(_Record):
-    """Aggregated click statistics for a block of gates, at the detector's gate rate."""
+    """Aggregated click statistics for a block of gates: the gates and their clicks."""
 
     __slots__ = ("gates", "clicks")
 

@@ -323,7 +323,6 @@ def run_fig5(
     seed: int = 0,
     *,
     workers: int = 1,
-    control: bool = False,
 ) -> ScanResult:
     """Fringe scan: count rate versus the phase-modulation depth phi, at
     ``n_phi`` phases over one period.
@@ -331,26 +330,20 @@ def run_fig5(
     Fits c0 + c1*cos(phi) and reports the visibility c1/c0 with its
     propagated uncertainty, NaN when the fitted c0 is not positive, plus the
     dark-subtracted visibility c1/(c0 - p_dark), which is NaN when
-    c0 - p_dark does not exceed the fitted sigma of c0. With
-    ``control=True`` the interferometer is removed from the chain, which
-    should leave no fitted modulation. ``workers`` is accepted for
+    c0 - p_dark does not exceed the fitted sigma of c0. On a chain without
+    the interferometer, the control run, no modulation should remain and
+    the fit reports ``control`` 1. ``workers`` is accepted for
     compatibility and has no effect (it must still be >= 1).
     """
     import numpy as np
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     phis = _phases(n_phi)
-    if not control and params.interferometer is None:
-        raise ValueError("fringe scan requires an interferometer in the chain")
-    # modulation is still applied at the source, but without the
-    # interferometer it cannot reach the count rate; phi=None gives the
-    # identical per-gate mean
-    run_params = params.without_interferometer() if control else params
-    probs = _ClosedForm(run_params).grid([mu], [None] * n_phi if control else phis.tolist())
+    probs = _ClosedForm(params).grid([mu], phis.tolist())
     seeds = derive_seeds(seed, np.arange(n_phi))
     clicks, p, sigma = _draw(probs, gates_per_point, seeds, n_phi)
     columns, fit = _estimate_fig5(phis, params.detector, p, sigma)
-    fit["control"] = 1.0 if control else 0.0
+    fit["control"] = 1.0 if params.interferometer is None else 0.0
     return ScanResult(columns=columns, fit=fit, raw=_records(clicks, gates_per_point))
 
 

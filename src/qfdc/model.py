@@ -363,11 +363,9 @@ class _ClosedForm:
         return mu * self.eta * self.t_post
 
     def _fringe(self, phi: float | None) -> float:
-        """The fringe factor at phi (``None``: the phi average), 1 without an
-        interferometer; multiplying by 1 leaves every bit as it is."""
+        """The fringe factor at phi (``None``: the phi average); 1 at any phi
+        without an interferometer, which leaves every bit as it is."""
         if self.contrast is None:
-            if phi is not None:
-                raise ValueError("phi was given but the chain has no interferometer")
             return 1.0
         cos_phi = 0.0 if phi is None else math.cos(phi)
         return (1.0 + self.contrast * cos_phi) / 2.0
@@ -402,8 +400,8 @@ class _ClosedForm:
 def expected_rate(mu: float, phi: float | None, params: ChainParams) -> float:
     """Closed-form mean photons per gate at the detector: signal plus background.
 
-    ``phi`` is the alternating phase-modulation depth; ``None`` means the
-    phi-averaged fringe (factor 1/2) when an interferometer is present.
+    ``phi`` is the alternating phase-modulation depth, ``None`` the
+    phi-averaged fringe (factor 1/2); without an interferometer it is ignored.
     All factors are photon-number transmissions; the detector efficiency
     enters only the click model, ``click_probability(expected_rate(...),
     params.detector)``.

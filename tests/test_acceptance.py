@@ -147,7 +147,7 @@ def test_criterion_4_fringe_scans(chain):
     high = run_fig5(chain, 143.0, gates_per_point=40_000_000, seed=ACCEPT_SEED)
     low = run_fig5(chain, 0.7, gates_per_point=40_000_000, seed=ACCEPT_SEED + 2)
     control = run_fig5(
-        chain, 143.0, gates_per_point=40_000_000, seed=ACCEPT_SEED + 3, control=True
+        chain.without_interferometer(), 143.0, gates_per_point=40_000_000, seed=ACCEPT_SEED + 3
     )
     v_high, v_low = high.fit["visibility"], low.fit["visibility"]
     high_ok = abs(v_high - 0.94) <= 0.01

@@ -111,6 +111,16 @@ class TestValidate:
         assert main(argv + [str(config)]) == 1
         assert capsys.readouterr() == ("", "error: unknown key 'chain_from_report'\n")
 
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=[argv[0] for argv in _COMMANDS])
+    def test_control_is_not_a_config_key(self, tmp_path, capsys, argv):
+        # the control run is chosen on the command line, by --no-interferometer
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["scenarios"]["fig5"]["control"] = True
+        config.write_text(json.dumps(raw))
+        assert main(argv + [str(config)]) == 1
+        assert capsys.readouterr() == ("", "error: unknown key scenarios.fig5.'control'\n")
+
 
 def _set(path: str, value):
     """Config override: set the dotted key ``path`` to ``value``."""
@@ -242,10 +252,27 @@ class TestNumbersExitOne:
 
 #: ``eta_nor_per_w * P`` past the float range, where the conversion
 #: probability sin^2(sqrt(eta_nor * P)) has no value: at the targets' pump
-#: power, and at a fig4a power.
+#: power, and at a fig4a power. Then the same for a pinned chain's
+#: ``beta * P``, where the background has no value.
 _OVERFLOW_TARGETS = (_apparatus({"eta_nor_per_w": 1e300}), _set("targets.pump_power_w", 1e10))
 _OVERFLOW_FIG4A = (_set("apparatus.eta_nor_per_w", 1e300),
                    _set("scenarios.fig4a.power_mw", [0.0, 1e12]))
+_BETA_OVERFLOW_TARGETS = (_set("chain.noise_coeff_beta", 1e300),
+                          _set("targets.pump_power_w", 1e10))
+_BETA_OVERFLOW_FIG4A = (_set("chain.noise_coeff_beta", 1e300),
+                        _set("scenarios.fig4a.power_mw", [0.0, 1e12]))
+
+
+def _assert_overflow(tmp_path, capsys, overrides, argv, coefficient_key, power_key):
+    """The command exits 1 and its stderr names both keys of the product."""
+    config = _fast_config(tmp_path)
+    raw = json.loads(config.read_text())
+    for override in overrides:
+        override(raw)
+    config.write_text(json.dumps(raw))
+    assert main(argv + [str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: keys {coefficient_key!r} and {power_key!r}: product overflows\n")
 
 
 class TestMixingProductOverflow:
@@ -256,14 +283,16 @@ class TestMixingProductOverflow:
         (_OVERFLOW_FIG4A, ["run", "fig4a"], "scenarios.fig4a.power_mw"),
     ])
     def test_exit_1_names_both_keys(self, tmp_path, capsys, overrides, argv, key):
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        for override in overrides:
-            override(raw)
-        config.write_text(json.dumps(raw))
-        assert main(argv + [str(config)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: keys 'apparatus.eta_nor_per_w' and {key!r}: product overflows\n")
+        _assert_overflow(tmp_path, capsys, overrides, argv, "apparatus.eta_nor_per_w", key)
+
+    @pytest.mark.parametrize("overrides, argv, key", [
+        (_BETA_OVERFLOW_TARGETS, ["validate"], "targets.pump_power_w"),
+        (_BETA_OVERFLOW_TARGETS, ["run", "fig6"], "targets.pump_power_w"),
+        (_BETA_OVERFLOW_FIG4A, ["validate"], "scenarios.fig4a.power_mw"),
+        (_BETA_OVERFLOW_FIG4A, ["run", "fig4a"], "scenarios.fig4a.power_mw"),
+    ])
+    def test_pinned_beta_overflow_names_both_keys(self, tmp_path, capsys, overrides, argv, key):
+        _assert_overflow(tmp_path, capsys, overrides, argv, "chain.noise_coeff_beta", key)
 
     def test_largest_finite_product_is_accepted(self, tmp_path):
         config = _fast_config(tmp_path)
@@ -383,22 +412,14 @@ class TestRunCommand:
         assert main(["run", "fig5", str(config)]) == 0
         assert (tmp_path / "results" / "fig5.csv").exists()
 
-    @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_control_run_writes_its_own_file(self, tmp_path, capsys, how):
+    def test_control_run_writes_its_own_file(self, tmp_path, capsys):
         # the fringe and its control land side by side; the control run
         # leaves the fringe's bytes as they were
         config = _fast_config(tmp_path)
         assert main(["run", "fig5", str(config)]) == 0
         fringe = tmp_path / "results" / "fig5.csv"
         before = fringe.read_bytes()
-        if how == "flag":
-            argv = ["run", "fig5", str(config), "--no-interferometer"]
-        else:
-            raw = json.loads(config.read_text())
-            raw["scenarios"]["fig5"]["control"] = True
-            config.write_text(json.dumps(raw))
-            argv = ["run", "fig5", str(config)]
-        assert main(argv) == 0
+        assert main(["run", "fig5", str(config), "--no-interferometer"]) == 0
         control = tmp_path / "results" / "fig5_control.csv"
         assert f"written to {control}" in capsys.readouterr().out
         assert fringe.read_bytes() == before
@@ -770,7 +791,6 @@ def _value(default):
         return _near(default)
     typed = {
         int: st.integers(min_value=1, max_value=1000),
-        bool: st.booleans(),
         tuple: st.lists(
             st.one_of(st.floats(min_value=0.0, max_value=200.0), _ANY), min_size=1, max_size=3
         ),
@@ -838,6 +858,10 @@ class TestGeneratedConfigs:
              source="calibration")
     @example(section=("fig4a", {"power_mw": [0.0, 1e12]}), targets={},
              apparatus={"eta_nor_per_w": 1e300}, chain=_SMALL_CONFIG["chain"], source="chain")
+    @example(section=("fig6", {}), targets={"pump_power_w": 1e10}, apparatus={},
+             chain={**_SMALL_CONFIG["chain"], "noise_coeff_beta": 1e300}, source="chain")
+    @example(section=("fig4a", {"power_mw": [0.0, 1e12]}), targets={}, apparatus={},
+             chain={**_SMALL_CONFIG["chain"], "noise_coeff_beta": 1e300}, source="chain")
     def test_exit_code_without_traceback(self, section, targets, apparatus, chain, source):
         scenario, values = section
         config = json.loads(json.dumps(_SMALL_CONFIG))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -55,9 +56,11 @@ class TestExpectedRate:
         assert click_probability(mean, chain.detector) == pytest.approx(
             3.287350251512944e-05, rel=1e-9)
 
-    def test_rejects_phi_without_interferometer(self, bare_chain):
-        with pytest.raises(ValueError):
-            expected_rate(0.7, 0.0, bare_chain)
+    def test_ignores_phi_without_interferometer(self, bare_chain):
+        # the modulation cannot reach the count rate without the interferometer
+        averaged = expected_rate(0.7, None, bare_chain)
+        for phi in (0.0, 1.0, math.pi):
+            assert expected_rate(0.7, phi, bare_chain).hex() == averaged.hex()
 
     def test_signal_linear_in_mu(self, chain):
         base = _signal_photons(1.0, 0.3, chain)
@@ -119,11 +122,9 @@ class TestClosedFormGrid:
         assert [p.hex() for p in grid] == [p.hex() for p in alone]
         assert [p.hex() for p in grid] == [p.hex() for p in reference]
 
-    def test_grid_keeps_the_checks(self, chain, bare_chain):
+    def test_grid_keeps_the_checks(self, chain):
         with pytest.raises(ValueError, match="mu must be >= 0"):
             _ClosedForm(chain).grid([0.7, -1.0], [0.0])
-        with pytest.raises(ValueError, match="no interferometer"):
-            _ClosedForm(bare_chain).grid([0.7], [0.0])
         with pytest.raises(ValueError, match="mean photons must be >= 0"):
             _ClosedForm(chain).grid([math.nan], [0.0])
         # an infinite mu at a fringe factor of 0 gives a NaN total
@@ -170,9 +171,9 @@ class TestAnalyticVisibility:
 
 class TestChainPointMean:
     def test_matches_analytic_without_interferometer(self, bare_chain):
-        for mu in (0.0, 0.01, 1.0, 125.0):
-            train_mean = chain_point_mean(mu, None, bare_chain)
-            assert train_mean == pytest.approx(expected_rate(mu, None, bare_chain), rel=1e-12)
+        for mu, phi in itertools.product((0.0, 0.01, 1.0, 125.0), (None, 0.0, 1.0, math.pi)):
+            train_mean = chain_point_mean(mu, phi, bare_chain)
+            assert train_mean == pytest.approx(expected_rate(mu, phi, bare_chain), rel=1e-12)
 
     def test_matches_analytic_with_interferometer(self, chain):
         # finite-train edge slot keeps the two within ~1/n_slots
@@ -531,7 +532,8 @@ class TestScenarioDrivers:
             run_fig5(chain, 0.7, gates_per_point=1000, seed=1, workers=0)
 
     def test_fig5_control_is_flat(self, chain):
-        scan = run_fig5(chain, 143.0, gates_per_point=4_000_000, seed=10, control=True)
+        scan = run_fig5(chain.without_interferometer(), 143.0, gates_per_point=4_000_000,
+                        seed=10)
         assert scan.fit["control"] == 1.0
         assert abs(scan.fit["c1"]) < 4 * scan.fit["c1_sigma"]
 
@@ -698,8 +700,8 @@ class TestScansMatchPointByPoint:
     @pytest.mark.parametrize("control", [False, True])
     def test_fig5(self, chain, seed, control):
         phis, gates = _phases(8), 2_500_000
-        scan = run_fig5(chain, 0.7, 8, gates, seed, control=control)
         params = chain.without_interferometer() if control else chain
+        scan = run_fig5(params, 0.7, 8, gates, seed)
         raw = [
             simulate_point(0.7, None if control else float(phi), params, gates,
                            derive_seed(seed, i))
@@ -786,7 +788,8 @@ class TestFrozenScans:
         (2**64 - 1, True, [132, 114, 113, 120]),
     ])
     def test_fig5(self, chain, seed, control, clicks):
-        scan = run_fig5(chain, 0.7, 4, _TWO_BLOCKS, seed, control=control)
+        scan = run_fig5(chain.without_interferometer() if control else chain, 0.7, 4,
+                        _TWO_BLOCKS, seed)
         assert [s.clicks for s in scan.raw] == clicks
 
     @pytest.mark.parametrize("seed, v_raw, v_raw_sigma", [

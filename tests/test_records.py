@@ -64,7 +64,7 @@ CASES = {
                           None),
     "Fig4a": (Fig4a, ("power_mw", "mu", "gates_per_point"), None),
     "Fig4b": (Fig4b, ("mu", "gates_per_point"), None),
-    "Fig5": (Fig5, ("mu", "n_phi", "gates_per_point", "control"), None),
+    "Fig5": (Fig5, ("mu", "n_phi", "gates_per_point"), None),
     "Fig6": (Fig6, ("mu", "n_phi", "gates_per_point"), None),
     "ScenarioConfig": (ScenarioConfig,
                        ("seed", "output_dir", "targets", "context", "chain", "scenarios"),
