@@ -20,8 +20,9 @@ unmutated copy are deselected, and the study stops unless the copy then
 passes, so a mutant counts as killed when some other test fails or the run
 exceeds ``TIMEOUT_S``. Every run passes ``--hypothesis-seed=HYPOTHESIS_SEED``,
 so the generated examples, and with them the score, repeat from run to run.
-The report holds the score and every survivor. Uses the standard library
-only and gates nothing.
+The report holds the score and every survivor. A SIGTERM ends the study
+as an exception does: the running pytest is killed and the temporary tree
+removed. Uses the standard library only and gates nothing.
 """
 
 import argparse
@@ -31,6 +32,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -115,6 +117,9 @@ def main() -> int:
     parser.add_argument("--out", default="MUTATION.json", help="report path")
     parser.add_argument("--text-mutants", type=Path, help="JSON list of hand-made mutants")
     args = parser.parse_args()
+    # SystemExit unwinds through subprocess.run, which kills its child, and
+    # through the TemporaryDirectory, which removes the tree copy
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     def source_of(name: str) -> tuple[Path, str]:
         path = (ROOT / name).resolve()

@@ -153,24 +153,29 @@ _BOUND_ROUNDING = 1e-9
 
 class CalibrationResult(_Record):
     """Fitted parameters plus per-observable residuals (model - target);
-    ``predictions`` and ``residuals`` default to new empty dicts."""
+    ``predictions`` and ``residuals`` default to new empty dicts. ``message``
+    names every problem of the solve, and the result is feasible exactly
+    when it is empty."""
 
     __slots__ = ("system_transmission", "noise_coeff_beta", "transmission_product",
-                 "intrinsic_visibility_v0", "predictions", "residuals", "feasible", "message")
+                 "intrinsic_visibility_v0", "predictions", "residuals", "message")
 
     def __init__(self, system_transmission: float, noise_coeff_beta: float,
                  transmission_product: float, intrinsic_visibility_v0: float,
                  predictions: dict[str, float] | None = None,
-                 residuals: dict[str, float] | None = None, feasible: bool = True,
-                 message: str = "") -> None:
+                 residuals: dict[str, float] | None = None, message: str = "") -> None:
         _setfield(self, "system_transmission", system_transmission)
         _setfield(self, "noise_coeff_beta", noise_coeff_beta)
         _setfield(self, "transmission_product", transmission_product)
         _setfield(self, "intrinsic_visibility_v0", intrinsic_visibility_v0)
         _setfield(self, "predictions", {} if predictions is None else predictions)
         _setfield(self, "residuals", {} if residuals is None else residuals)
-        _setfield(self, "feasible", feasible)
         _setfield(self, "message", message)
+
+    @property
+    def feasible(self) -> bool:
+        """Whether the solve met every target in bounds: no problem named."""
+        return not self.message
 
     def fitted(self) -> dict[str, float]:
         """The fitted parameters, in :data:`BOUNDS` order."""
@@ -248,8 +253,9 @@ def calibrate(
     """Solve the chain parameters from the six observables.
 
     Exact (algebraic) where the system decouples; infeasible targets give a
-    ``feasible=False`` result carrying the closest in-bounds parameters and
-    their residuals rather than raising.
+    result whose ``message`` names each problem, carrying the closest
+    in-bounds parameters and their residuals, rather than raising. The
+    result is feasible exactly when its message is empty.
     """
     targets = targets or CalibrationTargets()
     context = context or CalibrationContext()
@@ -322,19 +328,10 @@ def calibrate(
         elif abs(value - clipped) > _BOUND_ROUNDING * clipped:
             problems.append(f"{name} = {value:.6g} violates bounds [{lo:g}, {hi:g}]")
 
-    result = CalibrationResult(
-        **fitted,
-        feasible=not problems,
-        message="; ".join(problems),
-    )
+    # each problem is a non-empty string, so an empty message is a feasible result
+    result = CalibrationResult(**fitted, message="; ".join(problems))
     predictions = _predict(result, targets, context)
     residuals = {
         name: predictions[name] - getattr(targets, name) for name in predictions
     }
-    return CalibrationResult(
-        **fitted,
-        predictions=predictions,
-        residuals=residuals,
-        feasible=not problems,
-        message="; ".join(problems),
-    )
+    return result.replace(predictions=predictions, residuals=residuals)

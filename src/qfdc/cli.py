@@ -13,7 +13,6 @@ import importlib
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,8 +35,6 @@ if TYPE_CHECKING:
 #: The drivers, imported from ``experiment`` on first access (PEP 562), so
 #: that ``validate`` and ``calibrate`` do not load the Monte Carlo.
 _DRIVERS = ("run_fig4a", "run_fig4b", "run_fig5", "run_fig6")
-
-OUTPUT_DIR_ENV = "QFDC_OUTPUT_DIR"
 
 DEFAULT_SEED = 20260810
 
@@ -278,10 +275,12 @@ def _chain_values(section, path: str) -> dict[str, float]:
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and fully validate a configuration file."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # malformed JSON, bytes that are not UTF-8 (RFC 8259), an integer past
+    # Python's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -313,10 +312,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def _output_path(cfg: ScenarioConfig, out_arg: str | None, default_name: str) -> Path:
-    if out_arg:
+    if out_arg is not None:
         return Path(out_arg)
-    base = cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-    return Path(base) / default_name
+    return Path(cfg.output_dir or ".") / default_name
 
 
 def _write_csv(path: Path, header: list[str], scan: ScanResult) -> None:
@@ -462,8 +460,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             value = True
         elif not equals:
             value = next(tokens, None)
-            if value is None:
-                raise ConfigError(f"{name} needs a value")
+        if value is None or (kind is str and not value):  # an empty path names no file
+            raise ConfigError(f"{name} needs a value")
         try:
             setattr(args, name[2:].replace("-", "_"), kind(value))
         except ValueError:

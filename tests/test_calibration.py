@@ -2,7 +2,6 @@ import math
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from qfdc.calibration import (
     BOUNDS,
@@ -15,6 +14,8 @@ from qfdc.calibration import (
     residuals_within_tolerance,
 )
 from qfdc.model import DetectorSpec
+
+from strategies import CHAINS, CONDITION_KEYS, DETECTOR_KEYS
 
 # Frozen outputs of an independent numeric oracle: the three-visibility
 # system solved with scipy.optimize.brentq at 50-digit intermediate
@@ -106,6 +107,13 @@ class TestCalibrate:
         at_edge = calibration.replace(residuals=residuals)
         assert residuals_within_tolerance(at_edge, targets)
 
+    @pytest.mark.parametrize("name", RESIDUAL_TOLERANCES)
+    def test_residual_past_its_tolerance_is_outside(self, calibration, targets, name):
+        kind, tol = RESIDUAL_TOLERANCES[name]
+        residuals = dict.fromkeys(calibration.residuals, 0.0)
+        residuals[name] = -1.01 * tol * (getattr(targets, name) if kind == "rel" else 1.0)
+        assert not residuals_within_tolerance(calibration.replace(residuals=residuals), targets)
+
     def test_round_trip(self, calibration, targets):
         # generate targets from the fitted model, re-calibrate, recover exactly
         p = calibration.predictions
@@ -128,38 +136,40 @@ class TestCalibrate:
             assert abs(residual) < 1e-12
 
 
-def _log_uniform(lo: float, hi: float):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
-
-
-#: In-bounds chain parameters, with the pump power and the two fringe mus
-#: their observables are taken at. The upper ends are the bound of 1 itself.
-_CHAINS = st.fixed_dictionaries({
-    "system_transmission": _log_uniform(1e-3, 1.0),
-    "noise_coeff_beta": _log_uniform(1e-3, 1e2),
-    "transmission_product": _log_uniform(1e-3, 1.0),
-    "intrinsic_visibility_v0": st.floats(0.05, 1.0),
-    "pump_power_w": _log_uniform(1e-3, 0.1),
-    "mu_fringe": _log_uniform(1e-2, 5.0),  # calibrate needs mu_high > mu_fringe
-    "mu_high": _log_uniform(20.0, 1e3),
-})
-
-
 class TestRoundTripOverTheSpace:
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(_CHAINS)
+    @given(CHAINS)
     @example({"system_transmission": 1.0, "noise_coeff_beta": 1e2, "transmission_product": 1.0,
-              "intrinsic_visibility_v0": 1.0, "pump_power_w": 0.1, "mu_fringe": 5.0,
-              "mu_high": 20.0})
+              "intrinsic_visibility_v0": 1.0, "efficiency": 1.0, "dark_prob_per_gate": 1e-7,
+              "pump_power_w": 0.1, "mu_fringe": 5.0, "mu_high": 20.0})
     def test_calibrate_recovers_the_chain_it_predicts(self, values):
-        conditions = {k: values.pop(k) for k in ("pump_power_w", "mu_fringe", "mu_high")}
+        conditions = {k: values.pop(k) for k in CONDITION_KEYS}
+        detector = DetectorSpec(**{k: values.pop(k) for k in DETECTOR_KEYS})
         chain = CalibrationResult(**values)
-        context = CalibrationContext()
+        context = CalibrationContext(detector=detector)
         observables = _predict(chain, CalibrationTargets(**conditions), context)
         again = calibrate(CalibrationTargets(**conditions, **observables), context)
         assert again.feasible, again.message
         for name in BOUNDS:
             assert getattr(again, name) == pytest.approx(getattr(chain, name), rel=1e-8), name
+
+
+class TestFeasibleIsTheMessage:
+    def test_an_empty_message_is_feasible(self, calibration):
+        assert calibration.message == ""
+        assert calibration.feasible is True
+        failed = calibration.replace(message="mu_high must exceed mu_fringe")
+        assert failed.feasible is False
+        assert failed.replace(message="").feasible is True
+
+    def test_feasible_is_not_settable(self, calibration):
+        # one source for the verdict: no constructor keyword, no field
+        with pytest.raises(TypeError):
+            CalibrationResult(**calibration.fitted(), feasible=False)
+        with pytest.raises(TypeError):
+            calibration.replace(feasible=False)
+        with pytest.raises(AttributeError):
+            calibration.feasible = False
 
 
 class TestInfeasibility:

@@ -75,10 +75,20 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
-    def test_malformed_json(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"{not json",
+        b'\xff\xfe{"seed": 1}',  # JSON is UTF-8
+        b'{"output_dir": "\xff"}',  # JSON in form, but a string that is not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        b'{"seed": 1' + b"0" * 5000 + b"}",  # past Python's integer digit limit
+    ], ids=["not-json", "not-utf-8", "not-utf-8-string", "too-deep", "too-many-digits"])
+    def test_malformed_json(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ")
+        assert "Traceback" not in err
 
     def test_maxima_are_inclusive(self, tmp_path):
         config = _fast_config(tmp_path)
@@ -322,6 +332,20 @@ class TestCalibrateCommand:
         config.write_text(json.dumps(raw))
         assert main(["calibrate", str(config), "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_feasible_but_out_of_tolerance_exits_2(self, tmp_path, capsys):
+        # the floors are predictions, not fit targets: a bare floor far from
+        # its prediction leaves the solve feasible and its residual too large
+        config = _fast_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["targets"]["floor_bare"] = 1e-5
+        config.write_text(json.dumps(raw))
+        report_path = tmp_path / "r.json"
+        assert main(["calibrate", str(config), "--out", str(report_path)]) == 2
+        report = json.loads(report_path.read_text())
+        assert (report["feasible"], report["within_tolerance"], report["message"]) == (
+            True, False, "")
+        assert capsys.readouterr().out.startswith("calibration out of tolerance;")
+
     def test_report_round_trip(self, tmp_path):
         # feed a report's predictions back in as targets: near-zero residuals
         config = _fast_config(tmp_path)
@@ -433,14 +457,18 @@ class TestRunCommand:
         assert main(argv + [str(_fast_config(tmp_path)), "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_env_output_dir(self, tmp_path, monkeypatch):
+    def test_no_output_dir_writes_to_the_current_directory(self, tmp_path, monkeypatch):
+        # the environment plays no part: the path is --out, then output_dir,
+        # then the current directory
         config = _fast_config(tmp_path)
         raw = json.loads(config.read_text())
         del raw["output_dir"]
         config.write_text(json.dumps(raw))
         monkeypatch.setenv("QFDC_OUTPUT_DIR", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "fig5", str(config)]) == 0
-        assert (tmp_path / "envout" / "fig5.csv").exists()
+        assert (tmp_path / "fig5.csv").exists()
+        assert not (tmp_path / "envout").exists()
 
     def test_chain_from_a_report_is_the_calibrated_chain(self, tmp_path, capsys):
         # a report's ``fitted`` block, copied into ``chain``, runs the chain
@@ -601,6 +629,8 @@ _USAGE_ERRORS = {
                          "--seed must be an integer, got 'abc'"),
     "seed-empty": (["run", "fig5", "{config}", "--seed="], "--seed must be an integer, got ''"),
     "out-without-value": (["calibrate", "{config}", "--out"], "--out needs a value"),
+    "out-empty": (["calibrate", "{config}", "--out="], "--out needs a value"),
+    "out-empty-spaced": (["run", "fig5", "{config}", "--out", ""], "--out needs a value"),
     "flag-with-value": (["run", "fig5", "{config}", "--no-interferometer=yes"],
                         "--no-interferometer takes no value"),
     "unknown-scenario": (["run", "fig7", "{config}"], "unknown scenario 'fig7'"),

@@ -8,6 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfdc.calibration import (
+    CalibrationContext,
+    CalibrationResult,
+    CalibrationTargets,
+    calibrated_chain,
+)
 from qfdc.cli import load_config
 from qfdc.detector import CountSummary
 from qfdc.experiment import (
@@ -29,6 +35,7 @@ from qfdc.experiment import (
 )
 from qfdc.model import (
     ChainParams,
+    DetectorSpec,
     _ClosedForm,
     analytic_visibility,
     click_probability,
@@ -36,6 +43,8 @@ from qfdc.model import (
     expected_rate,
 )
 from qfdc.reference import chain_point_mean, dark_subtract, derive_seed, simulate_point
+
+from strategies import CHAINS, CONDITION_KEYS, DETECTOR_KEYS
 
 
 def _signal_photons(mu: float, phi: float | None, params: ChainParams) -> float:
@@ -650,6 +659,40 @@ class TestEstimatorsOnTheClosedForm:
         fig6 = [columns[name][0] for name in ("v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma")]
         assert all(math.isfinite(v) for v in fig5)
         assert [v.hex() for v in fig5] == [v.hex() for v in fig6]
+
+
+class TestEstimatorsOverTheSpace:
+    """fig4a's and fig4b's estimators on the closed form of random bare
+    chains, with the sigmas of 4e7 gates per point: they recover the chain
+    up to rounding, which is far below their own sigma."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(CHAINS)
+    def test_fig4a_and_fig4b_recover_the_chain(self, values):
+        gates = 40_000_000
+        detector = DetectorSpec(**{k: values.pop(k) for k in DETECTOR_KEYS})
+        power, mu_low, mu = (values.pop(k) for k in CONDITION_KEYS)
+        bare = calibrated_chain(CalibrationResult(**values), CalibrationTargets(pump_power_w=power),
+                                CalibrationContext(detector=detector)).without_interferometer()
+        t_post = bare.post_converter_transmission
+        powers = [0.0, 0.5 * power, power]
+        probs = [p for pw in powers for p in _ClosedForm(bare.at_pump_power(pw)).grid([mu, 0.0],
+                                                                                     [None])]
+        columns, fit = _estimate_fig4a(
+            powers, detector.efficiency * mu * t_post, detector.efficiency * t_post,
+            detector.dark_prob_per_gate, *_expected(probs, 2, gates))
+        for pw, efficiency, sigma in zip(powers[1:], columns["efficiency"][1:],
+                                         columns["eff_sigma"][1:], strict=True):
+            if math.isfinite(efficiency):  # NaN where the signal run saturates
+                expected = conversion_efficiency(bare.at_pump_power(pw).converter)
+                assert abs(efficiency - expected) <= 1e-6 * sigma
+        slope, slope_sigma = fit["noise_slope_per_w"], fit["noise_slope_sigma"]
+        if math.isfinite(slope):
+            assert abs(slope - values["noise_coeff_beta"]) <= 1e-6 * slope_sigma
+        floor, *signal = _ClosedForm(bare).grid([0.0, mu_low, mu], [None])
+        _, fit = _estimate_fig4b([mu_low, mu],
+                                 *_expected([p for sig in signal for p in (sig, floor)], 2, gates))
+        assert fit["floor_mean"] == floor  # the mean of two equal floats is exact
 
 
 #: masters at SeedSequence's word boundaries, and one wider than 64 bits

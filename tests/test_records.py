@@ -59,8 +59,7 @@ CASES = {
                            {"leak_fraction": 2.0}),
     "CalibrationResult": (calibrate,
                           ("system_transmission", "noise_coeff_beta", "transmission_product",
-                           "intrinsic_visibility_v0", "predictions", "residuals", "feasible",
-                           "message"),
+                           "intrinsic_visibility_v0", "predictions", "residuals", "message"),
                           None),
     "Fig4a": (Fig4a, ("power_mw", "mu", "gates_per_point"), None),
     "Fig4b": (Fig4b, ("mu", "gates_per_point"), None),
