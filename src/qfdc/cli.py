@@ -275,9 +275,11 @@ def _chain_values(section, path: str) -> dict[str, float]:
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and fully validate a configuration file."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+        data = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    try:
+        raw = json.loads(data.decode("utf-8"))
     # malformed JSON, bytes that are not UTF-8 (RFC 8259), an integer past
     # Python's digit limit, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:

@@ -2,14 +2,16 @@
 (``run_fig4a``), the count-rate-vs-mu sweep (``run_fig4b``), the fringe
 scan (``run_fig5``) and the visibility-vs-mu sweep (``run_fig6``).
 
-Each driver plans, draws and estimates: it checks its arguments, forms each
-point's click probability with the closed form of :mod:`qfdc.model` and
-lays out the seeds; ``_draw`` samples the click counts by seeded Monte Carlo;
-the figure's ``_estimate_fig*`` reads only the click probabilities and their
-sigmas, so it runs as well on the closed form's, with ``_sigma``. fig5 and
-fig6 fit each fringe with ``fit_cosine``, one plain tuple per fringe, and
-read both visibilities and their sigmas from ``_visibilities``. The train
-pipeline that is the closed form's reference is in :mod:`qfdc.reference`.
+Each driver runs its figure's plan. ``_plan_fig*`` checks the arguments,
+forms each point's click probability with the closed form of
+:mod:`qfdc.model`, lays out the seeds and binds the figure's estimator;
+``_scan`` seeds the points and samples their click counts by seeded Monte
+Carlo. The estimator reads only the click probabilities and their sigmas,
+so ``_expected`` runs it on the plan's own closed-form probabilities, with
+the same sigmas. fig5 and fig6 fit each fringe with ``fit_cosine``, one
+plain tuple per fringe, and read both visibilities and their sigmas from
+``_visibilities``. The train pipeline that is the closed form's reference
+is in :mod:`qfdc.reference`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .model import (
     DEFAULT_GATES_PER_POINT,
     DEFAULT_N_PHI,
     ChainParams,
-    DetectorSpec,
     _ClosedForm,
     _Record,
     _setfield,
@@ -133,7 +134,7 @@ def _both_finite(value: float, sigma: float) -> tuple[float, float]:
     return (value, sigma) if finite else (math.nan, math.nan)
 
 
-# --- scan results and the draw ---------------------------------------------
+# --- scan results, plans and the draw --------------------------------------
 
 
 class ScanResult(_Record):
@@ -166,30 +167,51 @@ class ScanResult(_Record):
         return next(iter(self.columns.values()))
 
 
-def _draw(probs: list[float], n_gates: int, seeds: np.ndarray,
-          n_cols: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Point k's click count at click probability ``probs[k]`` and seed
-    ``seeds.ravel()[k]``, and the click probabilities and sigmas in rows of
-    ``n_cols``: a fringe's phases, or a point's signal and signal-off runs."""
+def _scan(plan: tuple, gates_per_point: int, seed: int) -> ScanResult:
+    """Seed a figure's plan, draw its click counts and estimate.
+
+    A plan (``_plan_fig*``) is ``(probs, seeds, n_cols, estimate, kept)``:
+    each point's click probability, the points' seeds from the master seed,
+    the row width, the estimator from rows of click probabilities and sigmas
+    to columns and fit, and the slice of points kept as ``raw`` (or None).
+    """
     import numpy as np
-    clicks = sample_scan(probs, n_gates, seeds.ravel())
+    probs, seeds, _, _, kept = plan
+    clicks = sample_scan(probs, gates_per_point, seeds(seed).ravel())
     # float64 from the start is exact below 2**53 clicks, and an int64 array
     # would page in numpy's integer division loops (about 0.18 MB of RSS)
-    p = np.array(clicks, dtype=float).reshape(-1, n_cols) / int(n_gates)
-    return clicks, p, _sigma(p, n_gates)
+    columns, fit = _estimate(plan, np.array(clicks, dtype=float) / int(gates_per_point),
+                             gates_per_point)
+    raw = None if kept is None else [CountSummary(int(gates_per_point), c) for c in clicks[kept]]
+    return ScanResult(columns=columns, fit=fit, raw=raw)
 
 
-def _sigma(p: np.ndarray, n_gates: int) -> np.ndarray:
-    """:attr:`CountSummary.sigma_p` at click probabilities ``p``, as an array
-    expression that rounds every operation as the property does."""
+def _expected(plan: tuple, gates_per_point: int) -> tuple[dict, dict]:
+    """The plan's columns and fit at its own click probabilities: the "Asimov
+    data set" of Cowan et al., EPJC 71, 1554 (2011), with no seed and no draw."""
     import numpy as np
-    n = int(n_gates)
-    return np.maximum(np.sqrt(p * (1.0 - p) / n), 1.0 / n)
+    return _estimate(plan, np.array(plan[0], dtype=float), gates_per_point)
 
 
-def _records(clicks: list[int], n_gates: int) -> list[CountSummary]:
-    """The click record of each count, for a driver's ``raw``."""
-    return [CountSummary(int(n_gates), c) for c in clicks]
+def _estimate(plan: tuple, p: np.ndarray, gates_per_point: int) -> tuple[dict, dict]:
+    """The plan's columns and fit at each point's click probability ``p``, with
+    the sigma of ``gates_per_point`` gates: :attr:`CountSummary.sigma_p`, as an
+    array expression that rounds every operation as the property does."""
+    import numpy as np
+    _, _, n_cols, estimate, _ = plan
+    p = p.reshape(-1, n_cols)
+    n = int(gates_per_point)
+    return estimate(p, np.maximum(np.sqrt(p * (1.0 - p) / n), 1.0 / n))
+
+
+def _paired(probs: list[float], estimate) -> tuple:
+    """The plan of a sweep of pairs: a signal run at ``probs[2i]``, seeded
+    ``(i, 0)``, then a signal-off run, seeded ``(i, 1)``; only the signal
+    runs' records are kept."""
+    import numpy as np
+    index = np.arange(len(probs) // 2)[:, None]
+    return (probs, lambda seed: derive_seeds(seed, index, np.arange(2)), 2, estimate,
+            slice(0, None, 2))
 
 
 # --- scenario drivers ------------------------------------------------------
@@ -210,7 +232,11 @@ def run_fig4a(
     coupler; the noise estimator references the signal-off counts to the
     waveguide output, where it is linear in pump power.
     """
-    import numpy as np
+    return _scan(_plan_fig4a(params, power_grid_w, mu), gates_per_point, seed)
+
+
+def _plan_fig4a(params: ChainParams, power_grid_w, mu: float) -> tuple:
+    """fig4a's plan: at each power, a signal run at ``mu`` and a signal-off run."""
     if params.interferometer is not None:
         raise ValueError("the power sweep runs without the interferometer")
     if mu <= 0.0:
@@ -224,47 +250,39 @@ def run_fig4a(
     noise_denom = det.efficiency * t_post
     if eff_denom == 0.0 or noise_denom == 0.0:
         raise ValueError("no signal reaches the detector: its efficiency or the transmission is 0")
-    # the signal run at mu, then the signal-off run, at each power
-    probs = [p for power in powers
-             for p in _ClosedForm(params.at_pump_power(power)).grid([mu, 0.0], [None])]
-    # seeds (i, 0) for the signal run and (i, 1) for the signal-off run
-    seeds = derive_seeds(seed, np.arange(len(powers))[:, None], np.arange(2))
-    clicks, p, sigma = _draw(probs, gates_per_point, seeds, 2)
-    columns, fit = _estimate_fig4a(powers, eff_denom, noise_denom, det.dark_prob_per_gate,
-                                   p, sigma)
-    return ScanResult(columns=columns, fit=fit, raw=_records(clicks[0::2], gates_per_point))
-
-
-def _estimate_fig4a(powers: list[float], eff_denom: float, noise_denom: float, dark: float,
-                    p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
-    """fig4a's columns and fit from each power's click probabilities and
-    sigmas, shape (n_powers, 2): the signal run, then the signal-off run."""
+    dark = det.dark_prob_per_gate
     names = ("efficiency", "eff_sigma", "noise_per_gate", "noise_sigma")
-    columns = {"power_mw": [power * 1e3 for power in powers], **{name: [] for name in names}}
-    for (p_sig, p_bg), (s_sig, s_bg) in zip(p.tolist(), sigma.tolist()):
-        # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal photons;
-        # a saturated run (every gate clicked) cannot be inverted, so the
-        # estimators that use it are NaN, as is an estimate that overflows or
-        # whose sigma does
-        miss_sig = 1.0 - p_sig
-        miss_bg = 1.0 - p_bg
-        efficiency = eff_sigma = noise = noise_sigma = math.nan
-        if miss_bg > 0.0:
-            noise = math.log((1.0 - dark) / miss_bg) / noise_denom
-            noise_sigma = s_bg / (miss_bg * noise_denom)
-            if miss_sig > 0.0:
-                efficiency = math.log(miss_bg / miss_sig) / eff_denom
-                eff_sigma = math.hypot(s_sig / miss_sig, s_bg / miss_bg) / eff_denom
-        estimates = _both_finite(efficiency, eff_sigma) + _both_finite(noise, noise_sigma)
-        for name, value in zip(names, estimates):
-            columns[name].append(value)
-    if not any(power > 0.0 for power in powers):
-        return columns, {}
-    y, y_sigma = columns["noise_per_gate"], columns["noise_sigma"]
-    fitted = [i for i, power in enumerate(powers) if power > 0.0 and not math.isnan(y[i])]
-    slope, slope_sigma = fit_through_origin(
-        [powers[i] for i in fitted], [y[i] for i in fitted], [y_sigma[i] for i in fitted])
-    return columns, {"noise_slope_per_w": slope, "noise_slope_sigma": slope_sigma}
+
+    def estimate(p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
+        columns = {"power_mw": [power * 1e3 for power in powers], **{name: [] for name in names}}
+        for (p_sig, p_bg), (s_sig, s_bg) in zip(p.tolist(), sigma.tolist()):
+            # invert p = 1 - (1-p_bg)*exp(-eta*mu_signal) for the signal
+            # photons; a saturated run (every gate clicked) cannot be
+            # inverted, so the estimators that use it are NaN, as is an
+            # estimate that overflows or whose sigma does
+            miss_sig = 1.0 - p_sig
+            miss_bg = 1.0 - p_bg
+            efficiency = eff_sigma = noise = noise_sigma = math.nan
+            if miss_bg > 0.0:
+                noise = math.log((1.0 - dark) / miss_bg) / noise_denom
+                noise_sigma = s_bg / (miss_bg * noise_denom)
+                if miss_sig > 0.0:
+                    efficiency = math.log(miss_bg / miss_sig) / eff_denom
+                    eff_sigma = math.hypot(s_sig / miss_sig, s_bg / miss_bg) / eff_denom
+            estimates = _both_finite(efficiency, eff_sigma) + _both_finite(noise, noise_sigma)
+            for name, value in zip(names, estimates):
+                columns[name].append(value)
+        if not any(power > 0.0 for power in powers):
+            return columns, {}
+        y, y_sigma = columns["noise_per_gate"], columns["noise_sigma"]
+        fitted = [i for i, power in enumerate(powers) if power > 0.0 and not math.isnan(y[i])]
+        slope, slope_sigma = fit_through_origin(
+            [powers[i] for i in fitted], [y[i] for i in fitted], [y_sigma[i] for i in fitted])
+        return columns, {"noise_slope_per_w": slope, "noise_slope_sigma": slope_sigma}
+
+    return _paired([p for power in powers
+                    for p in _ClosedForm(params.at_pump_power(power)).grid([mu, 0.0], [None])],
+                   estimate)
 
 
 def run_fig4b(
@@ -276,34 +294,32 @@ def run_fig4b(
     """Count rate per gate versus mean input photon number, with the
     noise floor subtracted and a through-origin line fitted to the
     subtracted points."""
+    return _scan(_plan_fig4b(params, mu_grid), gates_per_point, seed)
+
+
+def _plan_fig4b(params: ChainParams, mu_grid) -> tuple:
+    """fig4b's plan: at each mu, the signal run and the signal-off run."""
     import numpy as np
     if params.interferometer is not None:
         raise ValueError("the count-rate sweep runs without the interferometer")
     mus = [float(m) for m in mu_grid]
     if not mus:
         raise ValueError("the mu grid is empty")
+
+    def estimate(p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
+        (p_raw, p_bg), (s_raw, s_bg) = p.T.tolist(), sigma.T.tolist()
+        # the signal run less the signal-off run, as reference.dark_subtract does for one pair
+        columns = {"mu": mus, "p_raw": p_raw, "p_raw_sigma": s_raw,
+                   "p_subtracted": [p_sig - p_off for p_sig, p_off in zip(p_raw, p_bg)],
+                   "p_subtracted_sigma": list(map(math.hypot, s_raw, s_bg))}
+        slope, slope_sigma = fit_through_origin(
+            mus, columns["p_subtracted"], columns["p_subtracted_sigma"])
+        columns["fit_line"] = [slope * mu for mu in mus]
+        return columns, {"slope": slope, "slope_sigma": slope_sigma,
+                         "floor_mean": float(np.mean(p_bg))}
+
     floor, *signal = _ClosedForm(params).grid([0.0, *mus], [None])
-    probs = [p for sig in signal for p in (sig, floor)]
-    seeds = derive_seeds(seed, np.arange(len(mus))[:, None], np.arange(2))
-    clicks, p, sigma = _draw(probs, gates_per_point, seeds, 2)
-    columns, fit = _estimate_fig4b(mus, p, sigma)
-    return ScanResult(columns=columns, fit=fit, raw=_records(clicks[0::2], gates_per_point))
-
-
-def _estimate_fig4b(mus: list[float], p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
-    """fig4b's columns and fit from each mu's click probabilities and
-    sigmas, shape (n_mus, 2): the signal run, then the signal-off run."""
-    import numpy as np
-    (p_raw, p_bg), (s_raw, s_bg) = p.T.tolist(), sigma.T.tolist()
-    # the signal run less the signal-off run, as reference.dark_subtract does for one pair
-    columns = {"mu": mus, "p_raw": p_raw, "p_raw_sigma": s_raw,
-               "p_subtracted": [p_sig - p_off for p_sig, p_off in zip(p_raw, p_bg)],
-               "p_subtracted_sigma": list(map(math.hypot, s_raw, s_bg))}
-    slope, slope_sigma = fit_through_origin(
-        mus, columns["p_subtracted"], columns["p_subtracted_sigma"])
-    columns["fit_line"] = [slope * mu for mu in mus]
-    return columns, {"slope": slope, "slope_sigma": slope_sigma,
-                     "floor_mean": float(np.mean(p_bg))}
+    return _paired([p for sig in signal for p in (sig, floor)], estimate)
 
 
 def _phases(n_phi: int) -> np.ndarray:
@@ -335,29 +351,30 @@ def run_fig5(
     the fit reports ``control`` 1. ``workers`` is accepted for
     compatibility and has no effect (it must still be >= 1).
     """
-    import numpy as np
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    return _scan(_plan_fig5(params, mu, n_phi), gates_per_point, seed)
+
+
+def _plan_fig5(params: ChainParams, mu: float, n_phi: int) -> tuple:
+    """fig5's plan: one fringe, phase i seeded ``(i,)``, every record kept."""
+    import numpy as np
     phis = _phases(n_phi)
-    probs = _ClosedForm(params).grid([mu], phis.tolist())
-    seeds = derive_seeds(seed, np.arange(n_phi))
-    clicks, p, sigma = _draw(probs, gates_per_point, seeds, n_phi)
-    columns, fit = _estimate_fig5(phis, params.detector, p, sigma)
-    fit["control"] = 1.0 if params.interferometer is None else 0.0
-    return ScanResult(columns=columns, fit=fit, raw=_records(clicks, gates_per_point))
-
-
-def _estimate_fig5(phis: np.ndarray, detector: DetectorSpec, p: np.ndarray,
-                   sigma: np.ndarray) -> tuple[dict, dict]:
-    """fig5's columns and fit from one fringe's click probabilities and
-    sigmas, shape (1, n_phi)."""
-    fit, = fit_cosine(phis, p, sigma)
-    rate_hz = detector.gate_rate_hz
-    columns = {"phi_rad": phis.tolist(), "rate_per_s": (p[0] * rate_hz).tolist(),
-               "rate_sigma": (sigma[0] * rate_hz).tolist()}
+    detector = params.detector
     names = ("c0", "c1", "c0_sigma", "c1_sigma", "visibility", "visibility_sigma",
              "visibility_sub", "visibility_sub_sigma")
-    return columns, dict(zip(names, fit[:4] + _visibilities(fit, detector.dark_prob_per_gate)))
+
+    def estimate(p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
+        cosine, = fit_cosine(phis, p, sigma)
+        rate_hz = detector.gate_rate_hz
+        columns = {"phi_rad": phis.tolist(), "rate_per_s": (p[0] * rate_hz).tolist(),
+                   "rate_sigma": (sigma[0] * rate_hz).tolist()}
+        fit = dict(zip(names, cosine[:4] + _visibilities(cosine, detector.dark_prob_per_gate)))
+        fit["control"] = 1.0 if params.interferometer is None else 0.0
+        return columns, fit
+
+    return (_ClosedForm(params).grid([mu], phis.tolist()),
+            lambda seed: derive_seeds(seed, np.arange(n_phi)), n_phi, estimate, slice(None))
 
 
 def run_fig6(
@@ -374,6 +391,11 @@ def run_fig6(
     as one scan. A point counts as a detected fringe when its raw visibility
     exceeds three times its uncertainty.
     """
+    return _scan(_plan_fig6(params, mu_grid, n_phi), gates_per_point, seed)
+
+
+def _plan_fig6(params: ChainParams, mu_grid, n_phi: int) -> tuple:
+    """fig6's plan: mu j's fringe, phase i seeded ``(j,)`` then ``(i,)``, no records."""
     import numpy as np
     if params.interferometer is None:
         raise ValueError("the visibility sweep requires an interferometer in the chain")
@@ -382,25 +404,21 @@ def run_fig6(
     if not mus:
         raise ValueError("the mu grid is empty")
     closed_form = _ClosedForm(params)
-    probs = closed_form.grid(mus, phis.tolist())
-    seeds = derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None], np.arange(n_phi))
-    _, p, sigma = _draw(probs, gates_per_point, seeds, n_phi)
-    columns, fit = _estimate_fig6(mus, phis, closed_form, params.detector, p, sigma)
-    return ScanResult(columns=columns, fit=fit)
-
-
-def _estimate_fig6(mus: list[float], phis: np.ndarray, closed_form: _ClosedForm,
-                   detector: DetectorSpec, p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
-    """fig6's columns and fit from each mu's fringe of click probabilities
-    and sigmas, shape (n_mus, n_phi)."""
-    dark = detector.dark_prob_per_gate
-    rows = [_visibilities(fit, dark) for fit in fit_cosine(phis, p, sigma)]
-    analytic = [closed_form.visibility(mu) for mu in mus]
+    dark = params.detector.dark_prob_per_gate
     names = ("v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma")
-    columns = {"mu": mus, **{name: [row[k] for row in rows] for k, name in enumerate(names)},
-               "v_analytic": [raw for raw, _ in analytic],
-               "v_analytic_sub": [sub for _, sub in analytic]}
-    columns["detectable"] = [1.0 if v > 3.0 * s else 0.0
-                             for v, s in zip(columns["v_raw"], columns["v_raw_sigma"])]
-    detected = [mu for mu, flag in zip(mus, columns["detectable"]) if flag > 0.0]
-    return columns, {"smallest_detectable_mu": min(detected) if detected else math.nan}
+
+    def estimate(p: np.ndarray, sigma: np.ndarray) -> tuple[dict, dict]:
+        rows = [_visibilities(fit, dark) for fit in fit_cosine(phis, p, sigma)]
+        analytic = [closed_form.visibility(mu) for mu in mus]
+        columns = {"mu": mus, **{name: [row[k] for row in rows] for k, name in enumerate(names)},
+                   "v_analytic": [raw for raw, _ in analytic],
+                   "v_analytic_sub": [sub for _, sub in analytic]}
+        columns["detectable"] = [1.0 if v > 3.0 * s else 0.0
+                                 for v, s in zip(columns["v_raw"], columns["v_raw_sigma"])]
+        detected = [mu for mu, flag in zip(mus, columns["detectable"]) if flag > 0.0]
+        return columns, {"smallest_detectable_mu": min(detected) if detected else math.nan}
+
+    return (closed_form.grid(mus, phis.tolist()),
+            lambda seed: derive_seeds(derive_seeds(seed, np.arange(len(mus)))[:, None],
+                                      np.arange(n_phi)),
+            n_phi, estimate, None)

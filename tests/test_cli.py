@@ -29,8 +29,10 @@ from qfdc.cli import (
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
-def _fast_config(tmp_path: Path, **overrides) -> Path:
-    """A reduced-statistics copy of the shipped config for quick CLI runs."""
+def _fast_config(tmp_path: Path, *edits, **overrides) -> Path:
+    """A reduced-statistics copy of the shipped config for quick CLI runs,
+    with top-level ``overrides`` and then each of ``edits`` (a function of
+    the config, such as :func:`_set`) applied."""
     config = json.loads(REPO_CONFIG.read_text())
     config["output_dir"] = str(tmp_path / "results")
     config["scenarios"]["fig4a"] = {
@@ -42,6 +44,8 @@ def _fast_config(tmp_path: Path, **overrides) -> Path:
         "mu": [0.7, 3.0], "n_phi": 8, "gates_per_point": 1_000_000
     }
     config.update(overrides)
+    for edit in edits:
+        edit(config)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
@@ -91,11 +95,8 @@ class TestValidate:
         assert "Traceback" not in err
 
     def test_maxima_are_inclusive(self, tmp_path):
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["scenarios"]["fig6"]["n_phi"] = 1024
-        raw["scenarios"]["fig4b"]["gates_per_point"] = 1e12
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("scenarios.fig6.n_phi", 1024),
+                              _set("scenarios.fig4b.gates_per_point", 1e12))
         assert main(["validate", str(config)]) == 0
         scenarios = load_config(config).scenarios
         assert (scenarios["fig6"].n_phi, scenarios["fig4b"].gates_per_point) == (1024, 10**12)
@@ -113,6 +114,14 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err == "error: key 'output_dir' must not contain a NUL character\n"
 
+    def test_nul_in_the_config_path_is_unreadable(self):
+        with pytest.raises(ConfigError, match="^cannot read config file: embedded null byte$"):
+            load_config("a\0b")
+
+    def test_non_string_output_dir_exits_1(self, tmp_path, capsys):
+        assert main(["validate", str(_fast_config(tmp_path, output_dir=5))]) == 1
+        assert capsys.readouterr() == ("", "error: key 'output_dir' must be a string\n")
+
     @pytest.mark.parametrize("argv", _COMMANDS, ids=[argv[0] for argv in _COMMANDS])
     def test_a_report_is_not_a_chain_source(self, tmp_path, capsys, argv):
         # the chain comes from ``chain`` or from the targets; a report's
@@ -124,10 +133,7 @@ class TestValidate:
     @pytest.mark.parametrize("argv", _COMMANDS, ids=[argv[0] for argv in _COMMANDS])
     def test_control_is_not_a_config_key(self, tmp_path, capsys, argv):
         # the control run is chosen on the command line, by --no-interferometer
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["scenarios"]["fig5"]["control"] = True
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("scenarios.fig5.control", True))
         assert main(argv + [str(config)]) == 1
         assert capsys.readouterr() == ("", "error: unknown key scenarios.fig5.'control'\n")
 
@@ -236,11 +242,7 @@ class TestNumbersExitOne:
         ],
     )
     def test_exit_1_without_traceback(self, tmp_path, capsys, override, argv):
-        config = _fast_config(tmp_path)
-        if override is not None:
-            raw = json.loads(config.read_text())
-            override(raw)
-            config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, *filter(None, [override]))
         assert main(argv + [str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -249,11 +251,9 @@ class TestNumbersExitOne:
     @pytest.mark.parametrize("key", _numeric_keys(json.loads(REPO_CONFIG.read_text())))
     def test_integer_beyond_float_range(self, tmp_path, capsys, key):
         # json reads integers of any size; this one does not convert to a float
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
         huge = 10**400
-        _set(key, [huge] if isinstance(_get(raw, key), list) else huge)(raw)
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, lambda raw: _set(
+            key, [huge] if isinstance(_get(raw, key), list) else huge)(raw))
         for argv in (["validate"], ["calibrate"]):
             assert main(argv + [str(config)]) == 1
             err = capsys.readouterr().err
@@ -275,11 +275,7 @@ _BETA_OVERFLOW_FIG4A = (_set("chain.noise_coeff_beta", 1e300),
 
 def _assert_overflow(tmp_path, capsys, overrides, argv, coefficient_key, power_key):
     """The command exits 1 and its stderr names both keys of the product."""
-    config = _fast_config(tmp_path)
-    raw = json.loads(config.read_text())
-    for override in overrides:
-        override(raw)
-    config.write_text(json.dumps(raw))
+    config = _fast_config(tmp_path, *overrides)
     assert main(argv + [str(config)]) == 1
     assert capsys.readouterr().err == (
         f"error: keys {coefficient_key!r} and {power_key!r}: product overflows\n")
@@ -305,11 +301,8 @@ class TestMixingProductOverflow:
         _assert_overflow(tmp_path, capsys, overrides, argv, "chain.noise_coeff_beta", key)
 
     def test_largest_finite_product_is_accepted(self, tmp_path):
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        _set("apparatus.eta_nor_per_w", 1e300)(raw)
-        _set("scenarios.fig4a.power_mw", [0.0, 1e11])(raw)  # 1e300 * 1e8 W
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("apparatus.eta_nor_per_w", 1e300),
+                              _set("scenarios.fig4a.power_mw", [0.0, 1e11]))  # 1e300 * 1e8 W
         assert main(["validate", str(config)]) == 0
 
 
@@ -325,20 +318,14 @@ class TestCalibrateCommand:
         assert report["fitted"]["system_transmission"] == pytest.approx(0.066, rel=0.01)
 
     def test_infeasible_targets_exit_2(self, tmp_path):
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["targets"]["visibility_raw"] = 0.8
-        raw["targets"]["visibility_subtracted"] = 0.5
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("targets.visibility_raw", 0.8),
+                              _set("targets.visibility_subtracted", 0.5))
         assert main(["calibrate", str(config), "--out", str(tmp_path / "r.json")]) == 2
 
     def test_feasible_but_out_of_tolerance_exits_2(self, tmp_path, capsys):
         # the floors are predictions, not fit targets: a bare floor far from
         # its prediction leaves the solve feasible and its residual too large
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["targets"]["floor_bare"] = 1e-5
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("targets.floor_bare", 1e-5))
         report_path = tmp_path / "r.json"
         assert main(["calibrate", str(config), "--out", str(report_path)]) == 2
         report = json.loads(report_path.read_text())
@@ -346,29 +333,30 @@ class TestCalibrateCommand:
             True, False, "")
         assert capsys.readouterr().out.startswith("calibration out of tolerance;")
 
+    def test_unwritable_report_exits_1(self, tmp_path, capsys):
+        # the report's directory would be the config, a regular file
+        config = _fast_config(tmp_path)
+        assert main(["calibrate", str(config), "--out", str(config / "x.json")]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write report: [Errno 17] File exists: '{config}'\n")
+
     def test_report_round_trip(self, tmp_path):
         # feed a report's predictions back in as targets: near-zero residuals
         config = _fast_config(tmp_path)
         report_path = tmp_path / "calibration.json"
         main(["calibrate", str(config), "--out", str(report_path)])
-        report = json.loads(report_path.read_text())
-        raw = json.loads(config.read_text())
-        raw["targets"].update(
-            {
-                "conversion_efficiency": report["predictions"]["conversion_efficiency"],
-                "floor_bare": report["predictions"]["floor_bare"],
-                "floor_interferometer": report["predictions"]["floor_interferometer"],
-                "visibility_high_mu": report["predictions"]["visibility_high_mu"],
-                "visibility_raw": report["predictions"]["visibility_raw"],
-                "visibility_subtracted": report["predictions"]["visibility_subtracted"],
-            }
-        )
-        config.write_text(json.dumps(raw))
+        predictions = json.loads(report_path.read_text())["predictions"]
+        assert len(predictions) == 6  # every target but the pump power and the two mus
+        config = _fast_config(tmp_path, lambda raw: raw["targets"].update(predictions))
         second = tmp_path / "second.json"
         assert main(["calibrate", str(config), "--out", str(second)]) == 0
         again = json.loads(second.read_text())
         for value in again["residuals"].values():
             assert abs(value) < 1e-12
+
+
+#: fig4a at two powers, 1000 gates each.
+_FEW_FIG4A = _set("scenarios.fig4a", {"power_mw": [0, 27], "gates_per_point": 1000})
 
 
 class TestRunCommand:
@@ -410,11 +398,9 @@ class TestRunCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_control_flag(self, tmp_path, capsys):
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
         # high mu and enough gates that a real fringe would tower over shot noise
-        raw["scenarios"]["fig5"] = {"mu": 143.0, "n_phi": 8, "gates_per_point": 4_000_000}
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("scenarios.fig5", {
+            "mu": 143.0, "n_phi": 8, "gates_per_point": 4_000_000}))
         out = tmp_path / "control.csv"
         assert main(
             ["run", "fig5", str(config), "--no-interferometer", "--out", str(out)]
@@ -430,6 +416,12 @@ class TestRunCommand:
     def test_unknown_scenario_exit_1(self, tmp_path):
         config = _fast_config(tmp_path)
         assert main(["run", "fig7", str(config)]) == 1
+
+    def test_unwritable_csv_exits_1(self, tmp_path, capsys):
+        # --out names a directory
+        assert main(["run", "fig5", str(_fast_config(tmp_path)), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write CSV: [Errno 21] Is a directory: '{tmp_path}'\n")
 
     def test_default_output_dir(self, tmp_path):
         config = _fast_config(tmp_path)
@@ -460,10 +452,7 @@ class TestRunCommand:
     def test_no_output_dir_writes_to_the_current_directory(self, tmp_path, monkeypatch):
         # the environment plays no part: the path is --out, then output_dir,
         # then the current directory
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        del raw["output_dir"]
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, lambda raw: raw.pop("output_dir"))
         monkeypatch.setenv("QFDC_OUTPUT_DIR", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
         assert main(["run", "fig5", str(config)]) == 0
@@ -473,15 +462,12 @@ class TestRunCommand:
     def test_chain_from_a_report_is_the_calibrated_chain(self, tmp_path, capsys):
         # a report's ``fitted`` block, copied into ``chain``, runs the chain
         # that ``run`` calibrates from the targets, bit for bit
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        del raw["chain"]
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, lambda raw: raw.pop("chain"))
         report = tmp_path / "calibration.json"
         assert main(["calibrate", str(config), "--out", str(report)]) == 0
         pinned = tmp_path / "pinned.json"
-        raw["chain"] = json.loads(report.read_text())["fitted"]
-        pinned.write_text(json.dumps(raw))
+        fitted = json.loads(report.read_text())["fitted"]
+        pinned.write_text(json.dumps({**json.loads(config.read_text()), "chain": fitted}))
         capsys.readouterr()
         outputs = []
         for path in (config, pinned):
@@ -499,10 +485,7 @@ class TestRunCommand:
     def test_few_gates_give_finite_fits(self, tmp_path, capsys, scenario, slope, sigma):
         # most points see zero clicks; the one-count sigma floor keeps every
         # fit weight finite, and a zero fringe offset gives a NaN visibility
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["scenarios"][scenario]["gates_per_point"] = 10
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set(f"scenarios.{scenario}.gates_per_point", 10))
         assert main(["run", scenario, str(config), "--out", str(tmp_path / "out.csv")]) == 0
         _assert_nan_policy(scenario, (tmp_path / "out.csv").read_text())
         fit = {}
@@ -516,10 +499,8 @@ class TestRunCommand:
     def test_saturated_fig4a_gives_nan_noise(self, tmp_path, capsys):
         # every gate clicks: the click model cannot be inverted, so the noise
         # estimates are NaN and stay out of the slope fit, without warnings
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["scenarios"]["fig4a"] = {"power_mw": [1e8, 2e8], "gates_per_point": 1000}
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("scenarios.fig4a", {"power_mw": [1e8, 2e8],
+                                                                "gates_per_point": 1000}))
         out = tmp_path / "out.csv"
         assert main(["run", "fig4a", str(config), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
@@ -533,11 +514,7 @@ class TestRunCommand:
         # a subnormal transmission puts the noise estimates near 1e306 and
         # their fit sigmas near 1e308: the fit weights must not overflow, and
         # the fitted slope stays finite while its sigma (1/0.027 x 1e308) is NaN
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["chain"]["transmission_product"] = 1e-310
-        raw["scenarios"]["fig4a"] = {"power_mw": [0, 27], "gates_per_point": 1000}
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("chain.transmission_product", 1e-310), _FEW_FIG4A)
         out = tmp_path / "out.csv"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -559,11 +536,7 @@ class TestRunCommand:
         # at 1e-320 the inversion divides by a subnormal and overflows: the
         # overflowing estimates are NaN, as are their sigmas, and leave the
         # noise-slope fit
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["chain"]["transmission_product"] = 1e-320
-        raw["scenarios"]["fig4a"] = {"power_mw": [0, 27], "gates_per_point": 1000}
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("chain.transmission_product", 1e-320), _FEW_FIG4A)
         out = tmp_path / "out.csv"
         assert main(["run", "fig4a", str(config), "--out", str(out)]) == 0
         _assert_nan_policy("fig4a", out.read_text())
@@ -575,11 +548,7 @@ class TestRunCommand:
         # at 1e-310 no run sees a photon and the background runs have no
         # clicks: each estimate is absurd but has a sigma of at least one
         # count, so it reads as consistent with zero instead of exact
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["chain"]["transmission_product"] = 1e-310
-        raw["scenarios"]["fig4a"] = {"power_mw": [0, 27], "gates_per_point": 1000}
-        config.write_text(json.dumps(raw))
+        config = _fast_config(tmp_path, _set("chain.transmission_product", 1e-310), _FEW_FIG4A)
         out = tmp_path / "out.csv"
         assert main(["run", "fig4a", str(config), "--out", str(out)]) == 0
         _assert_nan_policy("fig4a", out.read_text())
@@ -590,12 +559,10 @@ class TestRunCommand:
     def test_zero_click_fig4b_fig5_sigmas_carry_the_floor(self, tmp_path):
         # the same one-count floor as fig4a: a run without clicks in 1000
         # gates has a sigma of 1e-3 in click probability, 4000/s in rate
-        config = _fast_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["chain"]["transmission_product"] = 1e-310
-        raw["scenarios"]["fig4b"] = {"mu": [0.01, 0.3, 10.0], "gates_per_point": 1000}
-        raw["scenarios"]["fig5"] = {"n_phi": 8, "gates_per_point": 1000}
-        config.write_text(json.dumps(raw))
+        config = _fast_config(
+            tmp_path, _set("chain.transmission_product", 1e-310),
+            _set("scenarios.fig4b", {"mu": [0.01, 0.3, 10.0], "gates_per_point": 1000}),
+            _set("scenarios.fig5", {"n_phi": 8, "gates_per_point": 1000}))
         rows = {}
         for scenario in ("fig4b", "fig5"):
             out = tmp_path / f"{scenario}.csv"

@@ -14,17 +14,18 @@ from qfdc.calibration import (
     CalibrationTargets,
     calibrated_chain,
 )
-from qfdc.cli import load_config
-from qfdc.detector import CountSummary
+from qfdc.cli import load_config, run_scenario
+from qfdc.detector import BLOCK_GATES, CountSummary
 from qfdc.experiment import (
     ScanResult,
-    _draw,
-    _estimate_fig4a,
-    _estimate_fig4b,
-    _estimate_fig5,
-    _estimate_fig6,
+    _estimate,
+    _expected,
     _phases,
-    _sigma,
+    _plan_fig4a,
+    _plan_fig4b,
+    _plan_fig5,
+    _plan_fig6,
+    _scan,
     _visibilities,
     fit_cosine,
     fit_through_origin,
@@ -345,17 +346,19 @@ class TestFitHelpers:
     def test_draw_and_sigma_are_the_summaries(self, gates, fractions):
         clicks = [round(f * gates) for f in fractions]
         n = len(clicks)
+        rows = []
+        plan = ([0.5] * n, lambda seed: np.zeros(n, dtype=np.uint64), n,
+                lambda p, sigma: rows.append((p, sigma)) or ({"clicks": clicks}, {}), slice(None))
         # the counts stand in for sample_scan's, so the arrays are checked at
         # 0, 1, n-1 and n clicks without drawing 2**40 gates
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("qfdc.experiment.sample_scan", lambda p, gates, seeds: clicks)
-            drawn, p, sigma = _draw([0.5] * n, gates, np.zeros((1, n), dtype=np.uint64), n)
+            scan = _scan(plan, gates, 0)
+        (p, sigma), = rows
         summaries = [CountSummary(gates, c) for c in clicks]
-        assert drawn == clicks
+        assert scan.raw == summaries
         assert [v.hex() for v in p[0].tolist()] == [s.p_click.hex() for s in summaries]
         assert [v.hex() for v in sigma[0].tolist()] == [s.sigma_p.hex() for s in summaries]
-        assert [v.hex() for v in _sigma(p, gates)[0].tolist()] == [
-            s.sigma_p.hex() for s in summaries]
         assert p.shape == sigma.shape == (1, n)
 
     def test_cosine_fit_of_one_fringe_is_one_fit(self):
@@ -420,24 +423,6 @@ class TestScenarioDrivers:
             assert all(math.isfinite(v) for v in scan.columns[name])
         assert math.isfinite(scan.fit["noise_slope_per_w"])
 
-    def test_fig4a_noise_linear_in_power(self, bare_chain):
-        grid = [0.00675, 0.0135, 0.02025, 0.027]
-        scan = run_fig4a(bare_chain, grid, gates_per_point=20_000_000, seed=17)
-        slope = scan.fit["noise_slope_per_w"]
-        for power_mw, noise, sigma in zip(
-            scan.abscissa, scan.columns["noise_per_gate"], scan.columns["noise_sigma"]
-        ):
-            assert abs(noise - slope * power_mw * 1e-3) < 3 * sigma
-
-    def test_fig4a_efficiency_follows_conversion_law(self, bare_chain):
-        grid = [0.00675, 0.0135, 0.02025, 0.027]
-        scan = run_fig4a(bare_chain, grid, gates_per_point=20_000_000, seed=18)
-        for power, eff, sigma in zip(
-            grid, scan.columns["efficiency"], scan.columns["eff_sigma"]
-        ):
-            model = conversion_efficiency(bare_chain.at_pump_power(power).converter)
-            assert abs(eff - model) < 4 * sigma
-
     def test_fig4a_rejects_interferometer(self, chain):
         with pytest.raises(ValueError):
             run_fig4a(chain, [0.027])
@@ -480,6 +465,14 @@ class TestScenarioDrivers:
         assert ScanResult({"x": [1.0], "x_sigma": [0.0]}).columns["x_sigma"] == [0.0]
         with pytest.raises(ValueError, match="negative sigmas"):
             ScanResult({"x": [1.0], "x_sigma": [-1e-300]})
+
+    def test_scan_result_rejects_a_column_of_another_length(self):
+        with pytest.raises(ValueError, match="column 'y' has 1 entries for 2 points"):
+            ScanResult({"x": [1.0, 2.0], "y": [1.0]})
+
+    def test_fig4b_rejects_interferometer(self, chain):
+        with pytest.raises(ValueError, match="count-rate sweep runs without the interferometer"):
+            run_fig4b(chain, [0.7], gates_per_point=1000)
 
     def test_fig4b_smoke(self, bare_chain):
         scan = run_fig4b(bare_chain, [0.3, 1.0, 10.0], gates_per_point=10_000_000, seed=6)
@@ -578,51 +571,40 @@ class TestScenarioDrivers:
         assert math.isfinite(fig4a["noise_slope_sigma"]) == (beta is not None)
 
 
-def _expected(probs: list[float], n_cols: int, gates: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form click probabilities in a driver's rows, and the sigma of a
-    run of ``gates`` gates that clicks at each of them."""
-    p = np.array(probs).reshape(-1, n_cols)
-    return p, _sigma(p, gates)
-
-
 class TestEstimatorsOnTheClosedForm:
-    """Each driver's estimator on the expected click probabilities and the
-    sigmas of the configured gate counts (the "Asimov data set"): no seed and
-    no draw, at the scenarios of the repo's config."""
+    """Each driver's plan run on its own expected click probabilities with
+    the sigmas of the configured gate counts (the "Asimov data set"): no seed
+    and no draw, at the scenarios of the repo's config."""
 
-    scenarios = load_config(Path(__file__).resolve().parents[1] / "configs/default.json").scenarios
+    config = load_config(Path(__file__).resolve().parents[1] / "configs/default.json")
+    scenarios = config.scenarios
 
     def test_fig4a(self, bare_chain):
         cfg = self.scenarios["fig4a"]
         powers = [p * 1e-3 for p in cfg.power_mw]
-        det, t_post = bare_chain.detector, bare_chain.post_converter_transmission
-        probs = [p for power in powers
-                 for p in _ClosedForm(bare_chain.at_pump_power(power)).grid([cfg.mu, 0.0], [None])]
-        columns, fit = _estimate_fig4a(
-            powers, det.efficiency * cfg.mu * t_post, det.efficiency * t_post,
-            det.dark_prob_per_gate, *_expected(probs, 2, cfg.gates_per_point))
-        for power, efficiency in zip(powers, columns["efficiency"], strict=True):
+        columns, fit = _expected(_plan_fig4a(bare_chain, powers, cfg.mu), cfg.gates_per_point)
+        beta = bare_chain.converter.noise_coeff_beta
+        for power, efficiency, noise in zip(powers, columns["efficiency"],
+                                            columns["noise_per_gate"], strict=True):
+            # the noise is linear in power, and the efficiency is the converter's
+            assert noise == pytest.approx(beta * power, rel=1e-9, abs=0.0)
             if power > 0.0:
                 expected = conversion_efficiency(bare_chain.at_pump_power(power).converter)
                 assert efficiency == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert fit["noise_slope_per_w"] == pytest.approx(
-            bare_chain.converter.noise_coeff_beta, rel=1e-11, abs=0.0)
+        assert fit["noise_slope_per_w"] == pytest.approx(beta, rel=1e-11, abs=0.0)
 
     def test_fig4b(self, bare_chain):
         cfg = self.scenarios["fig4b"]
-        floor, *signal = _ClosedForm(bare_chain).grid([0.0, *cfg.mu], [None])
-        probs = [p for sig in signal for p in (sig, floor)]
-        columns, fit = _estimate_fig4b(list(cfg.mu), *_expected(probs, 2, cfg.gates_per_point))
+        columns, fit = _expected(_plan_fig4b(bare_chain, cfg.mu), cfg.gates_per_point)
+        floor, *signal = [click_probability(expected_rate(mu, None, bare_chain),
+                                            bare_chain.detector) for mu in (0.0, *cfg.mu)]
         assert fit["floor_mean"] == pytest.approx(floor, rel=1e-12)
         assert fit["floor_mean"] == pytest.approx(7.1677e-5, rel=1e-4)
         assert columns["p_raw"] == signal
 
     def test_fig5(self, chain):
         cfg = self.scenarios["fig5"]
-        phis = _phases(cfg.n_phi)
-        probs = _ClosedForm(chain).grid([cfg.mu], phis.tolist())
-        _, fit = _estimate_fig5(phis, chain.detector, *_expected(probs, cfg.n_phi,
-                                                                 cfg.gates_per_point))
+        _, fit = _expected(_plan_fig5(chain, cfg.mu, cfg.n_phi), cfg.gates_per_point)
         assert round(fit["visibility"], 6) == 0.378988
         assert round(fit["visibility_sub"], 6) == 0.720992
 
@@ -633,12 +615,9 @@ class TestEstimatorsOnTheClosedForm:
                  15.0: (0.884874, -1.360e-4, 455.0), 45.0: (0.924945, -3.820e-4, 831.0)}
         cfg = self.scenarios["fig6"]
         assert (cfg.n_phi, cfg.gates_per_point) == (16, 40_000_000)
-        mus, phis, closed_form = list(cfg.mu), _phases(cfg.n_phi), _ClosedForm(chain)
-        columns, fit = _estimate_fig6(
-            mus, phis, closed_form, chain.detector,
-            *_expected(closed_form.grid(mus, phis.tolist()), cfg.n_phi, cfg.gates_per_point))
+        columns, fit = _expected(_plan_fig6(chain, cfg.mu, cfg.n_phi), cfg.gates_per_point)
         for mu, (v, gap, v_over_sigma) in table.items():
-            j = mus.index(mu)
+            j = cfg.mu.index(mu)
             v_raw, v_sigma = columns["v_raw"][j], columns["v_raw_sigma"][j]
             assert round(v_raw, 6) == v
             assert v_raw - columns["v_analytic"][j] == pytest.approx(gap, rel=5e-3)
@@ -649,38 +628,49 @@ class TestEstimatorsOnTheClosedForm:
         # fig5's fringe at its mu is fig6's row at that mu: both estimators
         # read the same four visibilities from the same fit
         cfg = self.scenarios["fig5"]
-        phis, closed_form = _phases(cfg.n_phi), _ClosedForm(chain)
-        p, sigma = _expected(closed_form.grid([cfg.mu], phis.tolist()), cfg.n_phi,
-                             cfg.gates_per_point)
-        _, fit = _estimate_fig5(phis, chain.detector, p, sigma)
-        columns, _ = _estimate_fig6([cfg.mu], phis, closed_form, chain.detector, p, sigma)
+        _, fit = _expected(_plan_fig5(chain, cfg.mu, cfg.n_phi), cfg.gates_per_point)
+        columns, _ = _expected(_plan_fig6(chain, [cfg.mu], cfg.n_phi), cfg.gates_per_point)
         fig5 = [fit[name] for name in ("visibility", "visibility_sigma", "visibility_sub",
                                        "visibility_sub_sigma")]
         fig6 = [columns[name][0] for name in ("v_raw", "v_raw_sigma", "v_sub", "v_sub_sigma")]
         assert all(math.isfinite(v) for v in fig5)
         assert [v.hex() for v in fig5] == [v.hex() for v in fig6]
 
+    def test_work_counts(self, monkeypatch):
+        # a default reproduction's points, and its draws of up to BLOCK_GATES
+        # gates each, read from the plans the scenarios hand to _scan before
+        # any draw: added per-point work moves them
+        work = []
+        monkeypatch.setattr("qfdc.experiment._scan", lambda plan, gates, seed: work.append(
+            (len(plan[0]), len(plan[0]) * -(-gates // BLOCK_GATES))))
+        for scenario, control in [("fig4a", False), ("fig4b", False), ("fig5", False),
+                                  ("fig5", True), ("fig6", False)]:
+            run_scenario(scenario, self.config, 0, control)
+        assert work == [(20, 780), (16, 1_536), (16, 624), (16, 624), (176, 6_864)]
+        assert sum(draws for _, draws in work) == 10_428
+
+
+def _space_chain(values: dict) -> tuple[ChainParams, float, float, float]:
+    """A :data:`CHAINS` example's chain, its pump power and its two mus."""
+    detector = DetectorSpec(**{k: values.pop(k) for k in DETECTOR_KEYS})
+    power, mu_low, mu = (values.pop(k) for k in CONDITION_KEYS)
+    chain = calibrated_chain(CalibrationResult(**values), CalibrationTargets(pump_power_w=power),
+                             CalibrationContext(detector=detector))
+    return chain, power, mu_low, mu
+
 
 class TestEstimatorsOverTheSpace:
-    """fig4a's and fig4b's estimators on the closed form of random bare
-    chains, with the sigmas of 4e7 gates per point: they recover the chain
-    up to rounding, which is far below their own sigma."""
+    """The plans run on the closed form of random chains, with the sigmas of
+    4e7 gates per point."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(CHAINS)
     def test_fig4a_and_fig4b_recover_the_chain(self, values):
-        gates = 40_000_000
-        detector = DetectorSpec(**{k: values.pop(k) for k in DETECTOR_KEYS})
-        power, mu_low, mu = (values.pop(k) for k in CONDITION_KEYS)
-        bare = calibrated_chain(CalibrationResult(**values), CalibrationTargets(pump_power_w=power),
-                                CalibrationContext(detector=detector)).without_interferometer()
-        t_post = bare.post_converter_transmission
+        # up to rounding, which is far below the estimates' own sigma
+        chain, power, mu_low, mu = _space_chain(values)
+        bare = chain.without_interferometer()
         powers = [0.0, 0.5 * power, power]
-        probs = [p for pw in powers for p in _ClosedForm(bare.at_pump_power(pw)).grid([mu, 0.0],
-                                                                                     [None])]
-        columns, fit = _estimate_fig4a(
-            powers, detector.efficiency * mu * t_post, detector.efficiency * t_post,
-            detector.dark_prob_per_gate, *_expected(probs, 2, gates))
+        columns, fit = _expected(_plan_fig4a(bare, powers, mu), 40_000_000)
         for pw, efficiency, sigma in zip(powers[1:], columns["efficiency"][1:],
                                          columns["eff_sigma"][1:], strict=True):
             if math.isfinite(efficiency):  # NaN where the signal run saturates
@@ -689,10 +679,25 @@ class TestEstimatorsOverTheSpace:
         slope, slope_sigma = fit["noise_slope_per_w"], fit["noise_slope_sigma"]
         if math.isfinite(slope):
             assert abs(slope - values["noise_coeff_beta"]) <= 1e-6 * slope_sigma
-        floor, *signal = _ClosedForm(bare).grid([0.0, mu_low, mu], [None])
-        _, fit = _estimate_fig4b([mu_low, mu],
-                                 *_expected([p for sig in signal for p in (sig, floor)], 2, gates))
-        assert fit["floor_mean"] == floor  # the mean of two equal floats is exact
+        _, fit = _expected(_plan_fig4b(bare, [mu_low, mu]), 40_000_000)
+        # the mean of two equal floats is exact
+        assert fit["floor_mean"] == click_probability(expected_rate(0.0, None, bare), bare.detector)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(CHAINS, st.sampled_from([4, 8, 16, 64]))
+    def test_fig6_saturation_stays_under_the_paper_curve(self, values, n_phi):
+        # the click model saturates where the paper's curve is linear, so the
+        # expected raw visibility falls short of it, by at most v_analytic
+        # times max over phi of p/(1-p); max_phi p alone is too tight where
+        # dark counts dominate
+        chain, _, mu_low, mu = _space_chain(values)
+        plan = _plan_fig6(chain, [mu_low, mu], n_phi)
+        columns, _ = _expected(plan, 40_000_000)
+        for row, v_raw, v_analytic in zip(np.reshape(plan[0], (-1, n_phi)), columns["v_raw"],
+                                          columns["v_analytic"], strict=True):
+            p = max(row)
+            bound = math.inf if p == 1.0 else v_analytic * p / (1.0 - p)
+            assert 0.0 <= v_analytic - v_raw <= bound
 
 
 #: masters at SeedSequence's word boundaries, and one wider than 64 bits
@@ -707,26 +712,14 @@ class TestScansMatchPointByPoint:
     def test_fig4a(self, bare_chain, seed):
         powers, gates, mu = [0.0, 0.0135, 0.027], 1_500_000, 125.0
         scan = run_fig4a(bare_chain, powers, mu, gates, seed)
-        det, t_post = bare_chain.detector, bare_chain.post_converter_transmission
-        for i, power in enumerate(powers):
-            point = bare_chain.at_pump_power(power)
-            sig = simulate_point(mu, None, point, gates, derive_seed(seed, i, 0))
-            bg = simulate_point(0.0, None, point, gates, derive_seed(seed, i, 1))
-            assert scan.raw[i] == sig
-            miss_sig, miss_bg = 1.0 - sig.p_click, 1.0 - bg.p_click
-            assert scan.columns["efficiency"][i] == (
-                math.log(miss_bg / miss_sig) / (det.efficiency * mu * t_post)
-            )
-            assert scan.columns["noise_per_gate"][i] == (
-                math.log((1.0 - det.dark_prob_per_gate) / miss_bg) / (det.efficiency * t_post)
-            )
-            assert scan.columns["eff_sigma"][i] == (
-                math.hypot(sig.sigma_p / miss_sig, bg.sigma_p / miss_bg)
-                / (det.efficiency * mu * t_post)
-            )
-            assert scan.columns["noise_sigma"][i] == (
-                bg.sigma_p / (miss_bg * (det.efficiency * t_post))
-            )
+        runs = [simulate_point(run_mu, None, bare_chain.at_pump_power(power), gates,
+                               derive_seed(seed, i, run))
+                for i, power in enumerate(powers) for run, run_mu in enumerate((mu, 0.0))]
+        assert scan.raw == runs[0::2]
+        # the estimates are the plan's estimator on those runs
+        columns, fit = _estimate(_plan_fig4a(bare_chain, powers, mu),
+                                 np.array([s.p_click for s in runs]), gates)
+        assert (repr(scan.columns), repr(scan.fit)) == (repr(columns), repr(fit))
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_fig4b(self, bare_chain, seed):
